@@ -43,10 +43,10 @@ from .stable_trees import (
     top_stratum_dimension,
 )
 from .plumbing import (
-    PlumbingGraph,
     Space,
     UnsupportedPlumbingError,
     blow_down,
+    blow_down_fully,
     chain_to_lens,
     collapse_exceptional,
     identify_pullback_over_blowdown,

@@ -25,22 +25,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strata", help="admissible strata for a given form")
     p.add_argument("--lambda", dest="lam", required=True,
                    help="form parameter, a rational like 5/2")
-    _common(p)
+    _surface(p)
 
     p = sub.add_parser("links", help="normal link of one stratum in another")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _common(p)
+    _surface(p)
 
     p = sub.add_parser("plumb", help="normal form of a linear plumbing chain")
     p.add_argument("--chain", required=True,
                    help="comma-separated Euler numbers, e.g. \"-3,-1\"")
-    _common(p)
 
     p = sub.add_parser("verify-maps", help="residual checks for the "
                                            "explicit projective models")
     p.add_argument("--samples", type=int, default=1000)
-    _common(p)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("decompositions", help="stratum descriptors for a "
                                               "total fiber degree")
@@ -49,23 +49,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max degeneration nodes per branch (-1 for no bound)")
     p.add_argument("--pointed", action="store_true",
                    help="carry one marked point over a fixed base point")
-    _common(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", dest="as_json")
     return parser
 
 
-def _common(p: argparse.ArgumentParser):
+def _surface(p: argparse.ArgumentParser):
     p.add_argument("--surface", choices=("trivial", "nontrivial"),
                    default="trivial")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--json", action="store_true", dest="as_json")
 
 
 def run(args) -> dict:
     if args.subcommand == "strata":
-        return reports.strata_report(Fraction(args.lam),
-                                     reports.surface_by_name(args.surface))
+        try:
+            lam = Fraction(args.lam)
+        except ZeroDivisionError:
+            raise ValueError(f"lambda {args.lam} has a zero denominator") from None
+        return reports.strata_report(lam, reports.surface_by_name(args.surface))
     if args.subcommand == "links":
         return reports.links_report(args.m, args.k,
                                     reports.surface_by_name(args.surface))
@@ -97,7 +98,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.as_json:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, allow_nan=False))
     else:
         print(reports.render_table(report))
     return 0 if report["pass"] else 1

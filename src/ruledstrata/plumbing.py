@@ -1,21 +1,24 @@
 """Plumbing calculus for the links of strata.
 
-Linear plumbings of circle bundles over the sphere are recognized as lens
-spaces through the negative continued fraction of their Euler numbers, with
-the sign convention that the unit circle bundle of O(-n) is L(n, 1); every
-other sign in the module follows from that choice.  Blow-downs of (+/-1)
-vertices give an independent rewrite route to the same normal forms.  The
-five-dimensional rewrites (plumbing a 3-sphere bundle with the canonical
-circle bundle over the plane, or with the weighted orbifold circle bundle)
-are applied only in the forms needed by the link pipelines; anything else
-raises rather than guessing a normal form.
+A linear plumbing of circle bundles over the sphere is a chain, the tuple
+of its Euler numbers from one end to the other.  Chains are recognized as
+lens spaces through the negative continued fraction of their Euler
+numbers, with the sign convention that the unit circle bundle of O(-n) is
+L(n, 1); every other sign in the module follows from that choice.
+Blow-downs of (+/-1) entries give an independent rewrite route to the same
+normal forms.  The five-dimensional rewrites (plumbing a 3-sphere bundle
+with the canonical circle bundle over the plane, or with the weighted
+orbifold circle bundle) are applied only in the forms needed by the link
+pipelines; anything else raises rather than guessing a normal form.  Link
+results are `Space` normal forms tagged "lens", "sphere_bundle3",
+"pullback_canonical" or "s5".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .bundles import OrbiLineBundle, Rank2BundleExpr, gluing_bundle, ly_bundle, v2_bundle
+from .bundles import Rank2BundleExpr, gluing_bundle, v2_bundle
 from .homology import NONTRIVIAL, intersect, stratum_curve_class
 
 
@@ -31,17 +34,16 @@ class UnsupportedPlumbingError(ValueError):
 class Space:
     """Normal form of a link computation.
 
-    Tags: "lens" (with p, q), "circle_bundle" (euler), "sphere_bundle3"
-    (degree sum), "pullback_canonical" (the circle bundle over the blow-up
-    of the plane pulled back from the plane), "s5", and "other".  The
-    conventions L(0,1) = S2 x S1, L(1,0) = S3 and L(2,1) = RP3 are applied
-    in `display` and `lens_equivalent`, not by retagging.
+    Tags: "lens" (with p, q), "sphere_bundle3" (degree sum),
+    "pullback_canonical" (the circle bundle over the blow-up of the plane
+    pulled back from the plane) and "s5".  The conventions L(0,1) = S2 x S1,
+    L(1,0) = S3 and L(2,1) = RP3 are applied in `display` and
+    `lens_equivalent`, not by retagging.
     """
 
     tag: str
     p: int | None = None
     q: int | None = None
-    euler: int | None = None
     degree_sum: int | None = None
     notes: tuple[str, ...] = field(default=(), compare=False)
     eulers: tuple[tuple[str, int], ...] = field(default=(), compare=False)
@@ -65,8 +67,6 @@ class Space:
             return "S5"
         if self.tag == "sphere_bundle3":
             return f"S(O({self.degree_sum})+O(0))"
-        if self.tag == "circle_bundle":
-            return f"S(O({self.euler}))"
         if self.tag == "pullback_canonical":
             return "S(L_can) pulled back over the blowdown"
         return self.tag
@@ -95,18 +95,9 @@ S3 = lens_space(1, 0)
 
 
 def _as_lens_pq(s: Space) -> tuple[int, int]:
-    if s.tag == "lens":
-        return s.p, s.q
-    if s.tag == "circle_bundle":
-        norm = lens_space(-s.euler, 1)
-        return norm.p, norm.q
-    if s.tag == "s2xs1":
-        return 0, 1
-    if s.tag == "rp3":
-        return 2, 1
-    if s.tag == "s3":
-        return 1, 0
-    raise ValueError(f"{s.tag} is not a lens space")
+    if s.tag != "lens":
+        raise ValueError(f"{s.tag} is not a lens space")
+    return s.p, s.q
 
 
 def lens_equivalent(a: Space, b: Space) -> bool:
@@ -130,96 +121,7 @@ def lens_equivalent(a: Space, b: Space) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# plumbing graphs and linear chains
-
-
-@dataclass(frozen=True)
-class CircleBundleVertex:
-    euler: int
-
-
-@dataclass(frozen=True)
-class SphereBundleVertex:
-    degrees: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class OrbiVertex:
-    bundle: OrbiLineBundle
-    attach_at: str = "regular"
-
-
-@dataclass(frozen=True)
-class PlumbingGraph:
-    """A tree of bundle vertices joined by plumbing edges."""
-
-    vertices: tuple
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        n = len(self.vertices)
-        norm = []
-        for i, j in self.edges:
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bad edge ({i}, {j})")
-            norm.append((min(i, j), max(i, j)))
-        if len(set(norm)) != len(norm):
-            raise ValueError("parallel plumbing edges are not allowed")
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        if n > 0 and (len(self.edges) != n - 1 or not self._connected()):
-            raise ValueError("plumbing graph must be a tree")
-        for i, j in self.edges:
-            kinds = {type(self.vertices[i]), type(self.vertices[j])}
-            if kinds == {CircleBundleVertex}:
-                continue
-            if kinds == {SphereBundleVertex, OrbiVertex}:
-                continue
-            raise UnsupportedPlumbingError(
-                "only circle-circle and sphere-orbifold plumbings are handled")
-
-    def _connected(self) -> bool:
-        adj = {v: [] for v in range(len(self.vertices))}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        todo = [0]
-        while todo:
-            v = todo.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return len(seen) == len(self.vertices)
-
-    @classmethod
-    def chain(cls, eulers) -> "PlumbingGraph":
-        verts = tuple(CircleBundleVertex(int(e)) for e in eulers)
-        edges = tuple((i, i + 1) for i in range(len(verts) - 1))
-        return cls(verts, edges)
-
-    def neighbors(self, v: int) -> list[int]:
-        return [j if i == v else i for i, j in self.edges if v in (i, j)]
-
-    def chain_eulers(self) -> list[int]:
-        """Euler numbers of a linear circle-bundle chain, end to end."""
-        if not all(isinstance(v, CircleBundleVertex) for v in self.vertices):
-            raise ValueError("not a circle-bundle chain")
-        n = len(self.vertices)
-        if n == 0:
-            return []
-        if n == 1:
-            return [self.vertices[0].euler]
-        ends = [v for v in range(n) if len(self.neighbors(v)) == 1]
-        if len(ends) != 2 or any(len(self.neighbors(v)) > 2 for v in range(n)):
-            raise ValueError("chain must be linear")
-        order = [min(ends)]
-        prev = -1
-        while len(order) < n:
-            nxt = [w for w in self.neighbors(order[-1]) if w != prev]
-            prev = order[-1]
-            order.append(nxt[0])
-        return [self.vertices[v].euler for v in order]
+# linear chains
 
 
 def chain_to_lens(eulers) -> Space:
@@ -245,55 +147,42 @@ def circle_bundle_space(euler: int) -> Space:
     return chain_to_lens([euler])
 
 
-def blow_down(g: PlumbingGraph) -> PlumbingGraph:
-    """Remove one (+/-1) circle-bundle vertex, if any, joining its neighbors.
+def blow_down(chain: tuple[int, ...]) -> tuple[int, ...]:
+    """Remove the first (+/-1) entry of a chain, joining its neighbors.
 
     Each neighbor's Euler number changes by the opposite sign; with no such
-    vertex the graph is returned unchanged.  Vertices with three or more
-    neighbors would create cycles and are not handled.
+    entry the chain is returned unchanged.
     """
-    for v, vert in enumerate(g.vertices):
-        if isinstance(vert, CircleBundleVertex) and vert.euler in (1, -1):
-            nbrs = g.neighbors(v)
-            if len(nbrs) > 2:
-                raise UnsupportedPlumbingError(
-                    "blow-down of a vertex with three or more neighbors")
-            sign = vert.euler
-            new_vertices = []
-            relabel = {}
-            for w, wv in enumerate(g.vertices):
-                if w == v:
-                    continue
-                relabel[w] = len(new_vertices)
-                if w in nbrs:
-                    wv = replace(wv, euler=wv.euler - sign)
-                new_vertices.append(wv)
-            new_edges = [(relabel[i], relabel[j]) for i, j in g.edges
-                         if v not in (i, j)]
-            if len(nbrs) == 2:
-                new_edges.append((relabel[nbrs[0]], relabel[nbrs[1]]))
-            return PlumbingGraph(tuple(new_vertices), tuple(new_edges))
-    return g
+    for v, e in enumerate(chain):
+        if e in (1, -1):
+            out = list(chain)
+            if v > 0:
+                out[v - 1] -= e
+            if v + 1 < len(out):
+                out[v + 1] -= e
+            del out[v]
+            return tuple(out)
+    return chain
 
 
-def blow_down_fully(g: PlumbingGraph) -> PlumbingGraph:
+def blow_down_fully(chain) -> list[tuple[int, ...]]:
+    """The blow-down trace: the chain, then each blow-down until none applies."""
+    trace = [tuple(int(e) for e in chain)]
     while True:
-        nxt = blow_down(g)
-        if nxt == g:
-            return g
-        g = nxt
+        nxt = blow_down(trace[-1])
+        if nxt is trace[-1]:
+            return trace
+        trace.append(nxt)
 
 
-def recognize_reduced_chain(g: PlumbingGraph) -> Space:
+def recognize_reduced_chain(chain: tuple[int, ...]) -> Space:
     """Normal form of a blown-down chain.
 
-    Empty graph: the 3-sphere.  A single vertex is read off directly as a
-    circle bundle; longer minimal chains go through the continued fraction.
+    Empty chain: the 3-sphere.  Otherwise the continued fraction.
     """
-    eulers = g.chain_eulers()
-    if not eulers:
+    if not chain:
         return S3
-    return chain_to_lens(eulers)
+    return chain_to_lens(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +348,3 @@ def link_nontrivial(k: int) -> NontrivialLinkResult:
     derived = circle_bundle_space(degree)
     return NontrivialLinkResult(space=stated, derived=derived,
                                 derived_degree=degree)
-
-
-def orbifold_plumbing_bundle() -> OrbiLineBundle:
-    """The orbifold side of the two-step pipeline, for inspection."""
-    return ly_bundle()

@@ -9,6 +9,7 @@ fraction strings.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -135,22 +136,15 @@ def links_report(m: int, k: int, surface: RuledSurface) -> dict:
 def plumb_report(chain: list[int]) -> dict:
     """Normal form of a linear plumbing chain, with the blow-down trace."""
     space = plumbing.chain_to_lens(chain)
-    graph = plumbing.PlumbingGraph.chain(chain)
-    trace = [list(chain)]
-    while True:
-        nxt = plumbing.blow_down(graph)
-        if nxt == graph:
-            break
-        graph = nxt
-        trace.append(graph.chain_eulers())
-    reduced = plumbing.recognize_reduced_chain(graph)
+    trace = plumbing.blow_down_fully(chain)
+    reduced = plumbing.recognize_reduced_chain(trace[-1])
     return {
         "subcommand": "plumb",
         "params": {"chain": list(chain)},
         "result": space.to_json(),
         "display": space.display(),
         "rule": "negative-continued-fraction",
-        "blow_down_trace": trace,
+        "blow_down_trace": [list(c) for c in trace],
         "blow_down_result": reduced.to_json(),
         "pass": bool(plumbing.lens_equivalent(space, reduced)),
     }
@@ -170,6 +164,8 @@ def verify_maps_report(samples: int, seed: int, tol: float) -> dict:
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     rng = np.random.default_rng(seed)
     rows = []
 

@@ -10,17 +10,19 @@ automorphism count that bounds the isotropy of a stable map.
 Stratum descriptors serialize to JSON objects with fields
 
     parts     list of fiber degrees of the branches (a partition)
-    shape     one entry per part: nested [degree, [children...]] trees,
-              with an extra boolean marker slot in the pointed variant
+    shape     one entry per unpointed branch: nested [degree, [children...]]
     dim       real dimension of the stratum
     isotropy  order of the combinatorial automorphism group
 
-Pointed descriptors additionally carry "pointed" and "inferred": true.
+Pointed descriptors additionally carry "inferred": true and "pointed":
+{"part", "tree"}, the degree and shape of the branch with the marked point,
+whose nodes are [degree, marked, [children...]].
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -154,11 +156,7 @@ def combinatorial_isotropy(t: StableTree, cyclic_cover_factors: bool = False) ->
                 children.append(canon)
                 order *= aut
         children.sort()
-        for _, group in itertools.groupby(children):
-            m = sum(1 for _ in group)
-            for i in range(2, m + 1):
-                order *= i
-        return (key(v), tuple(children)), order
+        return (key(v), tuple(children)), order * _perm_order(children)
 
     if t.stem is not None or n == 1:
         root = t.stem if t.stem is not None else 0
@@ -198,6 +196,19 @@ def _tree_centers(n: int, adj) -> list[int]:
     return layer
 
 
+def _runs(items) -> list[tuple]:
+    """(value, multiplicity) of each run of equal items, in order."""
+    return [(v, len(list(g))) for v, g in itertools.groupby(items)]
+
+
+def _perm_order(items) -> int:
+    """Permutations of a sorted sequence that map each item to an equal one."""
+    order = 1
+    for _, m in _runs(items):
+        order *= math.factorial(m)
+    return order
+
+
 # ---------------------------------------------------------------------------
 # decompositions of the total fiber degree
 
@@ -222,16 +233,17 @@ def enumerate_decompositions(n: int) -> list[FiberDecomposition]:
     """All integer partitions of n, each exactly once (empty for n <= 0)."""
     if n <= 0:
         return []
+    return [FiberDecomposition(p) for p in _partitions(n)]
 
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
 
-    return [FiberDecomposition(p) for p in rec(n, n)]
+def _partitions(n: int, cap: int | None = None):
+    """Partitions of n >= 0 into parts <= cap, largest first; () for n = 0."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, n if cap is None else cap), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
 def top_stratum_dimension(d: FiberDecomposition) -> int:
@@ -254,132 +266,63 @@ def branch_moduli_dim(d: int) -> int:
 # combinatorial type of one of its strata: a rooted tree (root = component
 # carrying the attach node) with nonnegative degree labels, ghosts needing
 # two children on top of the root/parent special point.  Shapes are nested
-# tuples (degree, (child, child, ...)), canonically sorted.
+# tuples, canonically sorted.  Plain nodes are (degree, children); nodes of
+# a pointed shape, which carries one distinguished marked point somewhere
+# in the branch, are (degree, marked, children).  Either way the degree is
+# shape[0] and the children are shape[-1].
+#
+# A ghost carrying the point maps to the fixed incidence point, and a
+# ghost's image is the node on its first nonconstant ancestor, so the point
+# may not sit on a ghost whose whole path to the branch root consists of
+# ghosts (the root's image is the attach point on the stem curve, away from
+# the incidence point).
 
 
 @lru_cache(maxsize=None)
-def _shapes_all(d: int) -> tuple[tuple, ...]:
-    if d < 1:
-        return ()
+def _shapes_all(d: int, slot: tuple = ()) -> tuple[tuple, ...]:
+    """Unpointed shapes of degree d with nodes (degree, *slot, children).
+
+    `slot` is () for plain shapes and (False,) inside a pointed shape.
+    """
     out = []
     for root_deg in range(d, -1, -1):
-        rest = d - root_deg
-        min_children = 2 if root_deg == 0 else 0
-        for parts in _partition_tuples(rest):
-            if len(parts) < min_children:
+        for parts in _partitions(d - root_deg):
+            if root_deg == 0 and len(parts) < 2:
                 continue
-            for combo in _child_multisets(parts):
-                out.append((root_deg, combo))
+            for combo in _child_multisets(parts, slot):
+                out.append((root_deg, *slot, combo))
     return tuple(sorted(set(out)))
-
-
-def _partition_tuples(n: int):
-    if n == 0:
-        yield ()
-        return
-
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, n)
-
-
-def _child_multisets(parts: tuple[int, ...]):
-    """Multisets of shapes realizing the given child degrees."""
-    groups = [(v, sum(1 for _ in g)) for v, g in itertools.groupby(parts)]
-    pools = []
-    for value, mult in groups:
-        pools.append(list(
-            itertools.combinations_with_replacement(_shapes_all(value), mult)))
-    for pick in itertools.product(*pools):
-        combo = tuple(sorted(itertools.chain.from_iterable(pick)))
-        yield combo
-
-
-def branch_shapes(d: int, max_extra_nodes: int | None = 3) -> list[tuple]:
-    """Shapes of degree-d branches with at most the given number of nodes.
-
-    The enumeration is finite even unbounded (ghosts need two children, so a
-    degree-d branch has at most 2d - 1 components); the bound just trims
-    deep degenerations.  Pass None for the full list.
-    """
-    shapes = _shapes_all(d)
-    if max_extra_nodes is None:
-        return list(shapes)
-    return [s for s in shapes if shape_edges(s) <= max_extra_nodes]
-
-
-def shape_edges(shape) -> int:
-    return len(shape[1]) + sum(shape_edges(c) for c in shape[1])
-
-
-def shape_aut_order(shape, cyclic_cover_factors: bool = False) -> int:
-    """Automorphisms of a rooted shape: permutations of equal child subtrees."""
-    order = 1
-    children = sorted(shape[1])
-    for _, group in itertools.groupby(children):
-        m = sum(1 for _ in group)
-        for i in range(2, m + 1):
-            order *= i
-    for c in children:
-        order *= shape_aut_order(c, cyclic_cover_factors)
-    if cyclic_cover_factors and shape[0] >= 2:
-        order *= shape[0]
-    return order
-
-
-def shape_to_json(shape) -> list:
-    return [shape[0], [shape_to_json(c) for c in shape[1]]]
-
-
-# pointed shapes carry one distinguished marked point somewhere in the
-# branch; nodes are (degree, point_here, children).  A ghost carrying the
-# point maps to the fixed incidence point, and a ghost's image is the node
-# on its first nonconstant ancestor, so the point may not sit on a ghost
-# whose whole path to the branch root consists of ghosts (the root's image
-# is the attach point on the stem curve, away from the incidence point).
 
 
 @lru_cache(maxsize=None)
 def _pointed_shapes_all(d: int) -> tuple[tuple, ...]:
-    if d < 1:
-        return ()
     out = []
     for root_deg in range(d, -1, -1):
-        rest = d - root_deg
-        # point on this component (one special point)
-        min_children = 1 if root_deg == 0 else 0
-        for parts in _partition_tuples(rest):
-            if len(parts) < min_children:
-                continue
-            for combo in _child_multisets(parts):
-                out.append((root_deg, True,
-                            tuple(sorted(_plain(c) for c in combo))))
-        # point in one child subtree
-        min_children = 2 if root_deg == 0 else 0
-        for parts in _partition_tuples(rest):
-            if len(parts) < min_children:
+        for parts in _partitions(d - root_deg):
+            # point on this component (one special point)
+            if root_deg > 0 or len(parts) >= 1:
+                for combo in _child_multisets(parts, (False,)):
+                    out.append((root_deg, True, combo))
+            # point in one child subtree
+            if root_deg == 0 and len(parts) < 2:
                 continue
             for i, part in enumerate(parts):
                 if i > 0 and parts[i - 1] == part:
                     continue  # symmetric choice
                 others = parts[:i] + parts[i + 1:]
                 for pointed_child in _pointed_shapes_all(part):
-                    for combo in _child_multisets(others):
-                        children = tuple(sorted(
-                            (pointed_child,) + tuple(_plain(c) for c in combo)))
-                        out.append((root_deg, False, children))
+                    for combo in _child_multisets(others, (False,)):
+                        out.append((root_deg, False,
+                                    tuple(sorted((pointed_child,) + combo))))
     return tuple(sorted(set(out)))
 
 
-def _plain(shape) -> tuple:
-    """Embed an unpointed shape into pointed form (all markers off)."""
-    return (shape[0], False, tuple(sorted(_plain(c) for c in shape[1])))
+def _child_multisets(parts: tuple[int, ...], slot: tuple):
+    """Multisets of unpointed shapes realizing the given child degrees."""
+    pools = [list(itertools.combinations_with_replacement(_shapes_all(v, slot), m))
+             for v, m in _runs(parts)]
+    for pick in itertools.product(*pools):
+        yield tuple(sorted(itertools.chain.from_iterable(pick)))
 
 
 def _point_on_all_ghost_path(shape) -> bool:
@@ -397,34 +340,39 @@ def _has_point(shape) -> bool:
     return shape[1] or any(_has_point(c) for c in shape[2])
 
 
-def pointed_branch_shapes(d: int, max_extra_nodes: int | None = 3) -> list[tuple]:
-    shapes = [s for s in _pointed_shapes_all(d)
-              if not _point_on_all_ghost_path(s)]
+def branch_shapes(d: int, max_extra_nodes: int | None = 3,
+                  pointed: bool = False) -> list[tuple]:
+    """Shapes of degree-d branches with at most the given number of nodes.
+
+    The enumeration is finite even unbounded (ghosts need two children, so a
+    degree-d branch has at most 2d - 1 components); the bound just trims
+    deep degenerations.  Pass None for the full list.  With `pointed` the
+    shapes carry the marked point.
+    """
+    if pointed:
+        shapes = [s for s in _pointed_shapes_all(d)
+                  if not _point_on_all_ghost_path(s)]
+    else:
+        shapes = list(_shapes_all(d))
     if max_extra_nodes is None:
         return shapes
-    return [s for s in shapes if pointed_shape_edges(s) <= max_extra_nodes]
+    return [s for s in shapes if shape_edges(s) <= max_extra_nodes]
 
 
-def pointed_shape_edges(shape) -> int:
-    return len(shape[2]) + sum(pointed_shape_edges(c) for c in shape[2])
+def shape_edges(shape) -> int:
+    return len(shape[-1]) + sum(shape_edges(c) for c in shape[-1])
 
 
-def pointed_shape_aut_order(shape, cyclic_cover_factors: bool = False) -> int:
-    order = 1
-    children = sorted(shape[2])
-    for _, group in itertools.groupby(children):
-        m = sum(1 for _ in group)
-        for i in range(2, m + 1):
-            order *= i
-    for c in children:
-        order *= pointed_shape_aut_order(c, cyclic_cover_factors)
-    if cyclic_cover_factors and shape[0] >= 2:
-        order *= shape[0]
+def shape_aut_order(shape) -> int:
+    """Automorphisms of a rooted shape: permutations of equal child subtrees."""
+    order = _perm_order(shape[-1])
+    for c in shape[-1]:
+        order *= shape_aut_order(c)
     return order
 
 
-def pointed_shape_to_json(shape) -> list:
-    return [shape[0], shape[1], [pointed_shape_to_json(c) for c in shape[2]]]
+def shape_to_json(shape) -> list:
+    return [*shape[:-1], [shape_to_json(c) for c in shape[-1]]]
 
 
 # ---------------------------------------------------------------------------
@@ -463,62 +411,44 @@ class StratumDescriptor:
         if self.pointed_part is not None:
             out["pointed"] = {
                 "part": self.pointed_part,
-                "tree": pointed_shape_to_json(self.pointed_shape),
+                "tree": shape_to_json(self.pointed_shape),
             }
             out["inferred"] = True
         return out
 
 
 def enumerate_strata(n: int, max_branch_depth: int | None = 3,
-                     pointed: bool = False,
-                     cyclic_cover_factors: bool = False) -> list[StratumDescriptor]:
+                     pointed: bool = False) -> list[StratumDescriptor]:
     """All stratum descriptors for total fiber degree n.
 
     Every decomposition of n is combined with every admissible branch
     degeneration of at most `max_branch_depth` nodes per branch.  Dimensions
     are 4n - 2p on top and drop by 2 per extra node or per extra branch.
     With `pointed` the configurations carry one marked point on a branch
-    over a fixed base point; this variant is inferred, not pinned.
+    over a fixed base point, which pins that branch's attach point and
+    drops the dimension by 2 more; this variant is inferred, not pinned.
     """
     if n < 1:
         return []
     out = []
     for dec in enumerate_decompositions(n):
         p = len(dec.parts)
-        groups = [(v, sum(1 for _ in g))
-                  for v, g in itertools.groupby(dec.parts)]
-        if not pointed:
-            for combo in _assign_shapes(groups, max_branch_depth):
-                extra = sum(shape_edges(s) for s in combo)
-                dim = 4 * n - 2 * p - 2 * extra
-                iso = 1
-                for s in combo:
-                    iso *= shape_aut_order(s, cyclic_cover_factors)
-                out.append(StratumDescriptor(dec, combo, dim, iso))
+        if pointed:
+            choices = [(d0, ps) for d0, _ in _runs(dec.parts)
+                       for ps in branch_shapes(d0, max_branch_depth, pointed=True)]
         else:
-            seen_values = set()
-            for d0 in dec.parts:
-                if d0 in seen_values:
-                    continue
-                seen_values.add(d0)
-                rest = list(dec.parts)
+            choices = [(None, None)]
+        for d0, ps in choices:
+            rest = list(dec.parts)
+            if d0 is not None:
                 rest.remove(d0)
-                rest_groups = [(v, sum(1 for _ in g))
-                               for v, g in itertools.groupby(rest)]
-                for ps in pointed_branch_shapes(d0, max_branch_depth):
-                    for combo in _assign_shapes(rest_groups, max_branch_depth):
-                        extra = (pointed_shape_edges(ps)
-                                 + sum(shape_edges(s) for s in combo))
-                        # p - 1 moving attach points; the pointed branch
-                        # is pinned at the fixed fiber
-                        dim = (sum(4 * (di - 1) for di in dec.parts)
-                               - 2 * extra + 2 * (p - 1))
-                        iso = pointed_shape_aut_order(ps, cyclic_cover_factors)
-                        for s in combo:
-                            iso *= shape_aut_order(s, cyclic_cover_factors)
-                        out.append(StratumDescriptor(
-                            dec, combo, dim, iso,
-                            pointed_part=d0, pointed_shape=ps))
+            marked = () if ps is None else (ps,)
+            for combo in _assign_shapes(_runs(rest), max_branch_depth):
+                extra = sum(shape_edges(s) for s in combo + marked)
+                dim = 4 * n - 2 * p - 2 * extra - 2 * len(marked)
+                iso = math.prod(shape_aut_order(s) for s in combo + marked)
+                out.append(StratumDescriptor(dec, combo, dim, iso,
+                                             pointed_part=d0, pointed_shape=ps))
     out.sort(key=lambda s: (-s.dimension, s.decomposition.parts, s.shapes))
     return out
 
@@ -543,20 +473,15 @@ def stratum_tree(descriptor: StratumDescriptor, stem_drop: int) -> StableTree:
 
     def add(shape, parent: int):
         idx = len(components)
-        components.append(TreeComponent(fiber_class(shape[0])))
+        # the marker slot, present only in pointed shapes
+        marked = 1 if shape[1:-1] == (True,) else 0
+        components.append(TreeComponent(fiber_class(shape[0]), marked=marked))
         edges.append((parent, idx))
-        for child in shape[1]:
+        for child in shape[-1]:
             add(child, idx)
 
     for s in descriptor.shapes:
         add(s, 0)
     if descriptor.pointed_shape is not None:
-        def add_pointed(shape, parent: int):
-            idx = len(components)
-            components.append(TreeComponent(fiber_class(shape[0]),
-                                            marked=1 if shape[1] else 0))
-            edges.append((parent, idx))
-            for child in shape[2]:
-                add_pointed(child, idx)
-        add_pointed(descriptor.pointed_shape, 0)
+        add(descriptor.pointed_shape, 0)
     return StableTree(tuple(components), tuple(edges), stem=0)

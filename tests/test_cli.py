@@ -55,6 +55,15 @@ class TestStrata:
         assert cli.main(["strata", "--lambda", "-1"]) == 2
         assert cli.main(["strata", "--lambda", "0",
                          "--surface", "nontrivial"]) == 2
+        capsys.readouterr()
+        for argv in (["strata", "--lambda", "1/0"],
+                     ["strata", "--lambda=7/0", "--surface", "nontrivial",
+                      "--json"]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert "Traceback" not in captured.err
 
 
 class TestLinks:
@@ -122,6 +131,17 @@ class TestVerifyMaps:
         with pytest.raises(ValueError):
             verify_maps_report(0, 42, 1e-9)
 
+    def test_invalid_tolerance_rejected(self, capsys):
+        for tol in ("nan", "inf", "0", "-1"):
+            argv = ["verify-maps", "--samples", "5", "--tol", tol, "--json"]
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+        for tol in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError):
+                verify_maps_report(5, 42, tol)
+
     def test_seeded_rerun_identical(self, capsys):
         argv = ["verify-maps", "--samples", "40", "--seed", "7", "--json"]
         assert cli.main(argv) == 0
@@ -143,6 +163,33 @@ class TestDecompositions:
             capsys, ["decompositions", "--n", "2", "--pointed"])
         assert code == 0
         assert all(row["inferred"] for row in report["rows"])
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["decompositions", "--n", "2", "--surface", "nontrivial"],
+        ["plumb", "--chain=-2", "--surface", "trivial"],
+        ["strata", "--lambda", "2", "--seed", "1"],
+        ["links", "--m", "2", "--k", "1", "--tol", "1e-3"],
+        ["decompositions", "--n", "2", "--seed", "1"],
+        ["verify-maps", "--surface", "trivial"],
+    ])
+    def test_unread_options_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_each_subcommand_takes_json(self, capsys):
+        for argv in (["strata", "--lambda", "2"],
+                     ["links", "--m", "2", "--k", "1"],
+                     ["plumb", "--chain=-2"],
+                     ["verify-maps", "--samples", "5", "--seed", "3",
+                      "--tol", "1e-9"],
+                     ["decompositions", "--n", "2"]):
+            code, report = run_json(capsys, argv)
+            assert code == 0
+            assert report["pass"] is True
 
 
 class TestReportContracts:

@@ -9,8 +9,6 @@ from ruledstrata.plumbing import (
     RP3,
     S2XS1,
     S3,
-    CircleBundleVertex,
-    PlumbingGraph,
     UnsupportedPlumbingError,
     blow_down,
     blow_down_fully,
@@ -96,43 +94,45 @@ class TestChainToLens:
 
 class TestBlowDown:
     def test_end_vertex(self):
-        g = PlumbingGraph.chain([-3, -1])
-        assert blow_down(g).chain_eulers() == [-2]
+        assert blow_down((-3, -1)) == (-2,)
 
     def test_pair(self):
-        g = PlumbingGraph.chain([-1, -1])
-        assert blow_down(g).chain_eulers() == [0]
+        assert blow_down((-1, -1)) == (0,)
 
     def test_two_step(self):
-        g = PlumbingGraph.chain([-2, -1, -2])
+        g = blow_down((-2, -1, -2))
+        assert sorted(g) == [-1, -1]
         g = blow_down(g)
-        assert sorted(g.chain_eulers()) == [-1, -1]
-        g = blow_down(g)
-        assert g.chain_eulers() == [0]
+        assert g == (0,)
 
     def test_no_unimodular_vertex_is_identity(self):
-        g = PlumbingGraph.chain([-2, -3])
+        g = (-2, -3)
         assert blow_down(g) is g
 
     def test_single_vertex_blows_to_empty(self):
-        g = PlumbingGraph.chain([-1])
-        reduced = blow_down(g)
-        assert len(reduced.vertices) == 0
+        reduced = blow_down((-1,))
+        assert len(reduced) == 0
         assert recognize_reduced_chain(reduced) == S3
 
-    def test_branch_vertex_unsupported(self):
-        star = PlumbingGraph(
-            tuple(CircleBundleVertex(e) for e in (-1, -2, -2, -2)),
-            ((0, 1), (0, 2), (0, 3)))
-        with pytest.raises(UnsupportedPlumbingError):
-            blow_down(star)
+    def test_first_unimodular_entry_goes(self):
+        assert blow_down((-2, 1, -3, -1)) == (-3, -4, -1)
+        assert blow_down((3, -1, -1, 2)) == (4, 0, 2)
+
+    def test_trace(self):
+        assert blow_down_fully([-2, -1, -2]) == [(-2, -1, -2), (-1, -1), (0,)]
+        assert blow_down_fully((-2, -3)) == [(-2, -3)]
+        trace = blow_down_fully([-2] * 9 + [-1])
+        assert [len(g) for g in trace] == list(range(10, -1, -1))
+        assert trace[-1] == ()
+        for g, nxt in zip(trace, trace[1:]):
+            assert blow_down(g) == nxt
 
     def test_oracle_equivalence_exhaustive(self):
         # blow-down rewriting and the continued fraction agree everywhere
         for length in range(1, 5):
             for eulers in itertools.product(range(-5, 0), repeat=length):
                 direct = chain_to_lens(eulers)
-                reduced = blow_down_fully(PlumbingGraph.chain(eulers))
+                reduced = blow_down_fully(eulers)[-1]
                 assert lens_equivalent(direct, recognize_reduced_chain(reduced))
 
 

@@ -14,7 +14,9 @@ from ruledstrata.stable_trees import (
     enumerate_strata,
     fiber_class,
     is_stable,
+    shape_aut_order,
     shape_edges,
+    shape_to_json,
     stem_class,
     stratum_tree,
     top_stratum_dimension,
@@ -159,6 +161,26 @@ class TestEnumerateStrata:
                     t = stratum_tree(desc, stem_drop=m)
                     assert t.total_class == TRIVIAL.h2(1, -k)
 
+    @pytest.mark.parametrize("pointed", [False, True])
+    def test_stratum_trees_stable_with_one_marked_point(self, pointed):
+        for n in range(1, 5):
+            for m in (n, n + 2):
+                for desc in enumerate_strata(n, max_branch_depth=None,
+                                             pointed=pointed):
+                    t = stratum_tree(desc, stem_drop=m)
+                    assert is_stable(t)
+                    assert t.total_class == TRIVIAL.h2(1, -(m - n))
+                    marked = [c.marked for c in t.components if c.marked]
+                    assert marked == ([1] if pointed else [])
+
+    def test_pointed_dimension_formula(self):
+        for n in range(1, 5):
+            for d in enumerate_strata(n, max_branch_depth=None, pointed=True):
+                extra = sum(shape_edges(s)
+                            for s in d.shapes + (d.pointed_shape,))
+                p = len(d.decomposition.parts)
+                assert d.dimension == 4 * n - 2 * p - 2 * extra - 2
+
     def test_json_schema(self):
         for desc in enumerate_strata(2):
             blob = desc.to_json()
@@ -229,3 +251,21 @@ def test_branch_shape_catalogue():
     assert (1, ((1, ()),)) in shapes
     assert (0, ((1, ()), (1, ()))) in shapes
     assert len(shapes) == 3
+
+
+def test_pointed_branch_shape_catalogue():
+    assert branch_shapes(1, None, pointed=True) == [(1, True, ())]
+    shapes = branch_shapes(2, None, pointed=True)
+    # the point may sit on a ghost only below a nonconstant component
+    assert shapes == [
+        (0, False, ((1, False, ()), (1, True, ()))),
+        (1, False, ((0, True, ((1, False, ()),)),)),
+        (1, False, ((1, True, ()),)),
+        (1, True, ((1, False, ()),)),
+        (2, True, ()),
+    ]
+    assert branch_shapes(2, 1, pointed=True) == shapes[2:]
+    assert shape_to_json(shapes[2]) == [1, False, [[1, True, []]]]
+    assert shape_to_json((1, ((1, ()),))) == [1, [[1, []]]]
+    assert shape_aut_order((0, False, ((1, False, ()), (1, False, ())))) == 2
+    assert shape_aut_order((0, False, ((1, False, ()), (1, True, ())))) == 1
