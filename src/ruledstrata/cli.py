@@ -86,11 +86,13 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    # let chain values starting with a minus sign through argparse
-    for i, token in enumerate(argv[:-1]):
-        if token == "--chain" and argv[i + 1].startswith("-"):
-            argv[i:i + 2] = [f"--chain={argv[i + 1]}"]
-            break
+    # argparse reads a value such as -1/2, -inf or -3,-1 as an option, so
+    # join each value that starts with a minus sign to its option
+    i = 0
+    while i < len(argv) - 1:
+        if argv[i] in ("--chain", "--lambda", "--tol") and argv[i + 1].startswith("-"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        i += 1
     args = parser.parse_args(argv)
     try:
         report = run(args)

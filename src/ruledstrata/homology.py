@@ -39,9 +39,6 @@ class RuledSurface:
         """Return the class a*e1 + b*e2 in this surface's basis."""
         return H2Class(self, (a, b))
 
-    def basis_class(self, i: int) -> "H2Class":
-        return self.h2(1, 0) if i == 0 else self.h2(0, 1)
-
     @property
     def fiber_class(self) -> "H2Class":
         # F itself on the product; L - E on the blow-up.

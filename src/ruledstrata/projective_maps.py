@@ -5,8 +5,9 @@ Everything here is double-precision complex arithmetic with projective,
 scale-invariant comparisons: two homogeneous tuples agree when all their
 2x2 minors vanish relative to the coordinate scales, and a point satisfies
 a homogeneous equation when the residual is small relative to scale to the
-degree of the equation.  Random sampling takes an explicit generator so
-runs are reproducible per seed.
+degree of the equation.  Comparisons use `DEFAULT_TOL` unless `close_to` is
+given a tolerance.  Random sampling takes an explicit generator so runs are
+reproducible per seed.
 """
 
 from __future__ import annotations
@@ -26,21 +27,18 @@ class ProjPoint:
     """Homogeneous coordinates with tolerance-based projective equality."""
 
     coords: tuple[complex, ...]
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         coords = tuple(complex(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
         if self.scale == 0.0:
             raise ValueError("projective point cannot be the zero tuple")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
 
     @classmethod
-    def of(cls, pt, tol: float = DEFAULT_TOL) -> "ProjPoint":
+    def of(cls, pt) -> "ProjPoint":
         if isinstance(pt, ProjPoint):
             return pt
-        return cls(tuple(pt), tol)
+        return cls(tuple(pt))
 
     @property
     def scale(self) -> float:
@@ -48,14 +46,10 @@ class ProjPoint:
 
     def normalized(self) -> "ProjPoint":
         s = self.scale
-        return ProjPoint(tuple(c / s for c in self.coords), self.tol)
+        return ProjPoint(tuple(c / s for c in self.coords))
 
-    def residual_to(self, other) -> float:
-        other = ProjPoint.of(other)
-        return proj_residual(self.coords, other.coords)
-
-    def close_to(self, other, tol: float | None = None) -> bool:
-        return self.residual_to(other) < (self.tol if tol is None else tol)
+    def close_to(self, other, tol: float = DEFAULT_TOL) -> bool:
+        return proj_residual(self, other) < tol
 
     def __iter__(self):
         return iter(self.coords)
@@ -66,13 +60,16 @@ class ProjPoint:
 
 
 def proj_residual(x, y) -> float:
-    """Largest 2x2 minor of the two coordinate rows, relative to scale."""
+    """Largest 2x2 minor of two coordinate rows (points or sequences),
+    relative to scale; symmetric in its arguments."""
     x = [complex(c) for c in x]
     y = [complex(c) for c in y]
     if len(x) != len(y):
         raise ValueError("length mismatch")
     sx = max(abs(c) for c in x)
     sy = max(abs(c) for c in y)
+    if sx == 0.0 or sy == 0.0:
+        raise ValueError("projective point cannot be the zero tuple")
     worst = 0.0
     for i in range(len(x)):
         for j in range(i + 1, len(x)):
@@ -97,15 +94,14 @@ def eval_h(p, q) -> ProjPoint:
 
 
 def quadric_residual(pt) -> float:
-    u, v, w = ProjPoint.of(pt).coords
-    s = max(abs(u), abs(v), abs(w))
-    return abs((u + v + w) ** 2 - 4 * u * v) / s**2
-
-
-def quadric_q(pt, tol: float | None = None) -> bool:
-    """Whether (u+v+w)^2 = 4uv holds, relative to scale squared."""
     pt = ProjPoint.of(pt)
-    return quadric_residual(pt) < (pt.tol if tol is None else tol)
+    u, v, w = pt.coords
+    return abs((u + v + w) ** 2 - 4 * u * v) / pt.scale**2
+
+
+def quadric_q(pt) -> bool:
+    """Whether (u+v+w)^2 = 4uv holds, relative to scale squared."""
+    return quadric_residual(pt) < DEFAULT_TOL
 
 
 def tau(pt) -> ProjPoint:
@@ -127,15 +123,14 @@ def eval_phi32(pt) -> ProjPoint:
 
 
 def y_residual(pt) -> float:
-    u, v, w, t = ProjPoint.of(pt).coords
-    s = max(abs(u), abs(v), abs(w), abs(t))
-    return abs(t * t - u * v) / s**2
-
-
-def on_y(pt, tol: float | None = None) -> bool:
-    """Whether the quadric cone equation t^2 = uv holds."""
     pt = ProjPoint.of(pt)
-    return y_residual(pt) < (pt.tol if tol is None else tol)
+    u, v, w, t = pt.coords
+    return abs(t * t - u * v) / pt.scale**2
+
+
+def on_y(pt) -> bool:
+    """Whether the quadric cone equation t^2 = uv holds."""
+    return y_residual(pt) < DEFAULT_TOL
 
 
 #: The one point of the cone fixed by a reparametrization of its stable map.
@@ -239,7 +234,7 @@ def map_from_critical_values(x, y) -> RationalMapDeg2:
     """
     x = ProjPoint.of(x)
     y = ProjPoint.of(y)
-    if proj_residual(x.coords, y.coords) < max(x.tol, y.tol):
+    if x.close_to(y):
         raise ValueError("branch points must be distinct")
     x0, x1 = x.coords
     y0, y1 = y.coords
@@ -263,10 +258,10 @@ def compose_mobius(g, m: RationalMapDeg2) -> RationalMapDeg2:
 
 def unordered_pair_residual(pair_a, pair_b) -> float:
     """Projective mismatch of two unordered point pairs (best matching)."""
-    a0, a1 = (ProjPoint.of(p) for p in pair_a)
-    b0, b1 = (ProjPoint.of(p) for p in pair_b)
-    straight = max(a0.residual_to(b0), a1.residual_to(b1))
-    crossed = max(a0.residual_to(b1), a1.residual_to(b0))
+    a0, a1 = pair_a
+    b0, b1 = pair_b
+    straight = max(proj_residual(a0, b0), proj_residual(a1, b1))
+    crossed = max(proj_residual(a0, b1), proj_residual(a1, b0))
     return min(straight, crossed)
 
 
@@ -282,7 +277,7 @@ class PreimageCount(NamedTuple):
 def _cluster_count(points: Iterable[ProjPoint], tol: float) -> int:
     reps: list[ProjPoint] = []
     for p in points:
-        if all(p.residual_to(r) >= tol for r in reps):
+        if all(proj_residual(p, r) >= tol for r in reps):
             reps.append(p)
     return len(reps)
 
@@ -298,18 +293,23 @@ def count_preimages(f, target, cluster_tol: float = CLUSTER_TOL,
     the branch locus get the honest smaller count with generic = False.
     """
     target = ProjPoint.of(target).normalized()
-    if f is eval_phi30:
-        return _count_phi30(target, cluster_tol, tol)
-    if f is eval_phi32:
-        return _count_phi32(target, cluster_tol, tol)
-    if f is eval_h:
-        return _count_h(target, cluster_tol, tol)
-    raise ValueError("unsupported map for preimage counting")
+    # built per call, so a map name rebound in this module (by a wrapper,
+    # say) still dispatches
+    counter = {eval_phi30: _count_phi30, eval_phi32: _count_phi32,
+               eval_h: _count_h}.get(f)
+    if counter is None:
+        raise ValueError("unsupported map for preimage counting")
+    return counter(target, cluster_tol, tol)
 
 
 def _verified_cluster(f, candidates, target, cluster_tol, tol):
-    good = [c for c in candidates if f(c).residual_to(target) < 1e3 * tol]
+    good = [c for c in candidates if proj_residual(f(c), target) < 1e3 * tol]
     return _cluster_count(good, cluster_tol)
+
+
+def _generic(pt: ProjPoint) -> bool:
+    """Whether every coordinate stays outside the generic margin of zero."""
+    return min(abs(c) for c in pt.coords) >= GENERIC_MARGIN * pt.scale
 
 
 def _count_phi30(target, cluster_tol, tol) -> PreimageCount:
@@ -320,8 +320,7 @@ def _count_phi30(target, cluster_tol, tol) -> PreimageCount:
         for s2 in (1, -1):
             candidates.append(ProjPoint((ru, s1 * rv, s2 * rw)))
     count = _verified_cluster(eval_phi30, candidates, target, cluster_tol, tol)
-    generic = min(abs(u), abs(v), abs(w)) >= GENERIC_MARGIN * target.scale
-    return PreimageCount(count, generic)
+    return PreimageCount(count, _generic(target))
 
 
 def _count_phi32(target, cluster_tol, tol) -> PreimageCount:
@@ -351,19 +350,10 @@ def _count_h(target, cluster_tol, tol) -> PreimageCount:
     u, v, w = target.coords
     # the unordered pair {x, y} solves v T^2 - (u+v+w) T + u = 0
     roots = _homogeneous_quadratic_roots((v, -(u + v + w), u))
-    pairs = [(roots[0], roots[1]), (roots[1], roots[0])]
-    good = []
-    for x, y in pairs:
-        if eval_h(x, y).residual_to(target) < 1e3 * tol:
-            good.append((x, y))
-    reps = []
-    for x, y in good:
-        dup = any(x.residual_to(rx) < cluster_tol and y.residual_to(ry) < cluster_tol
-                  for rx, ry in reps)
-        if not dup:
-            reps.append((x, y))
-    generic = quadric_residual(target) >= GENERIC_MARGIN
-    return PreimageCount(len(reps), generic)
+    # eval_h is exactly symmetric, so one ordering of the pair verifies both
+    verified = proj_residual(eval_h(*roots), target) < 1e3 * tol
+    count = _cluster_count(roots, cluster_tol) if verified else 0
+    return PreimageCount(count, quadric_residual(target) >= GENERIC_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +400,10 @@ def orbit_space_map(p) -> ProjPoint:
 # seeded samplers
 
 
-def random_proj_point(rng, n: int, tol: float = DEFAULT_TOL) -> ProjPoint:
+def random_proj_point(rng, n: int) -> ProjPoint:
     parts = rng.standard_normal(2 * n)
     coords = tuple(complex(parts[2 * i], parts[2 * i + 1]) for i in range(n))
-    return ProjPoint(coords, tol).normalized()
+    return ProjPoint(coords).normalized()
 
 
 def random_unit_sphere_point(rng) -> tuple[complex, complex, complex]:
@@ -428,7 +418,7 @@ def random_generic_square_target(rng) -> ProjPoint:
     """A squares-map target with all coordinates away from zero."""
     while True:
         pt = random_proj_point(rng, 3)
-        if min(abs(c) for c in pt.coords) >= GENERIC_MARGIN * pt.scale:
+        if _generic(pt):
             return pt
 
 
@@ -436,10 +426,8 @@ def random_line_target(rng, i: int) -> ProjPoint:
     """A generic point of the i-th coordinate line in the plane."""
     while True:
         pt = random_proj_point(rng, 2)
-        coords = list(pt.coords)
-        coords.insert(i, 0.0)
-        if min(abs(c) for c in pt.coords) >= GENERIC_MARGIN * pt.scale:
-            return ProjPoint(tuple(coords))
+        if _generic(pt):
+            return ProjPoint(pt.coords[:i] + (0.0,) + pt.coords[i:])
 
 
 def random_point_on_cover_line(rng, s1: int, s2: int) -> ProjPoint:
@@ -457,5 +445,5 @@ def random_separated_pair(rng, min_gap: float = 1e-3) -> tuple[ProjPoint, ProjPo
     while True:
         x = random_proj_point(rng, 2)
         y = random_proj_point(rng, 2)
-        if proj_residual(x.coords, y.coords) >= min_gap:
+        if proj_residual(x, y) >= min_gap:
             return x, y

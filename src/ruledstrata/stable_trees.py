@@ -275,7 +275,8 @@ def branch_moduli_dim(d: int) -> int:
 # ghost's image is the node on its first nonconstant ancestor, so the point
 # may not sit on a ghost whose whole path to the branch root consists of
 # ghosts (the root's image is the attach point on the stem curve, away from
-# the incidence point).
+# the incidence point).  `_pointed_shapes_all` generates only the admissible
+# placements.
 
 
 @lru_cache(maxsize=None)
@@ -295,12 +296,16 @@ def _shapes_all(d: int, slot: tuple = ()) -> tuple[tuple, ...]:
 
 
 @lru_cache(maxsize=None)
-def _pointed_shapes_all(d: int) -> tuple[tuple, ...]:
+def _pointed_shapes_all(d: int, ghost_path: bool = True) -> tuple[tuple, ...]:
+    """Admissible pointed shapes of degree d; `ghost_path` says whether every
+    ancestor of the shape's root is a ghost (vacuously true at the branch root).
+    """
     out = []
     for root_deg in range(d, -1, -1):
         for parts in _partitions(d - root_deg):
-            # point on this component (one special point)
-            if root_deg > 0 or len(parts) >= 1:
+            # point on this component (one special point), never on a ghost
+            # reached from the branch root through ghosts only
+            if root_deg > 0 or (parts and not ghost_path):
                 for combo in _child_multisets(parts, (False,)):
                     out.append((root_deg, True, combo))
             # point in one child subtree
@@ -310,7 +315,8 @@ def _pointed_shapes_all(d: int) -> tuple[tuple, ...]:
                 if i > 0 and parts[i - 1] == part:
                     continue  # symmetric choice
                 others = parts[:i] + parts[i + 1:]
-                for pointed_child in _pointed_shapes_all(part):
+                for pointed_child in _pointed_shapes_all(
+                        part, ghost_path and root_deg == 0):
                     for combo in _child_multisets(others, (False,)):
                         out.append((root_deg, False,
                                     tuple(sorted((pointed_child,) + combo))))
@@ -325,21 +331,6 @@ def _child_multisets(parts: tuple[int, ...], slot: tuple):
         yield tuple(sorted(itertools.chain.from_iterable(pick)))
 
 
-def _point_on_all_ghost_path(shape) -> bool:
-    """Whether the marked point sits on a ghost chained to the root by ghosts."""
-    deg, here, children = shape
-    if here:
-        return deg == 0
-    for c in children:
-        if _has_point(c):
-            return deg == 0 and _point_on_all_ghost_path(c)
-    return False
-
-
-def _has_point(shape) -> bool:
-    return shape[1] or any(_has_point(c) for c in shape[2])
-
-
 def branch_shapes(d: int, max_extra_nodes: int | None = 3,
                   pointed: bool = False) -> list[tuple]:
     """Shapes of degree-d branches with at most the given number of nodes.
@@ -349,11 +340,7 @@ def branch_shapes(d: int, max_extra_nodes: int | None = 3,
     deep degenerations.  Pass None for the full list.  With `pointed` the
     shapes carry the marked point.
     """
-    if pointed:
-        shapes = [s for s in _pointed_shapes_all(d)
-                  if not _point_on_all_ghost_path(s)]
-    else:
-        shapes = list(_shapes_all(d))
+    shapes = list(_pointed_shapes_all(d) if pointed else _shapes_all(d))
     if max_extra_nodes is None:
         return shapes
     return [s for s in shapes if shape_edges(s) <= max_extra_nodes]

@@ -28,6 +28,7 @@ from ruledstrata.projective_maps import (
     eval_phi30,
     map_from_critical_values,
     orbit_space_map,
+    proj_residual,
     random_generic_square_target,
     random_line_target,
     random_separated_pair,
@@ -201,8 +202,8 @@ def test_criterion_09_weighted_action():
         p = random_unit_sphere_point(rng)
         theta = float(rng.uniform(0, 2 * np.pi))
         moved = weighted_circle_orbit(theta, p)
-        worst_orbit = max(worst_orbit, orbit_space_map(p).residual_to(
-            orbit_space_map(moved)))
+        worst_orbit = max(worst_orbit, proj_residual(
+            orbit_space_map(p), orbit_space_map(moved)))
     worst_norm = 0.0
     for _ in range(1000):
         out = s5_identification(random_unit_sphere_point(rng))

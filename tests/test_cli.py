@@ -58,7 +58,10 @@ class TestStrata:
         capsys.readouterr()
         for argv in (["strata", "--lambda", "1/0"],
                      ["strata", "--lambda=7/0", "--surface", "nontrivial",
-                      "--json"]):
+                      "--json"],
+                     ["strata", "--lambda", "-1/2"],
+                     ["strata", "--lambda", "-1/2", "--json"],
+                     ["strata", "--lambda", "2", "--lambda", "-1/2"]):
             assert cli.main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -117,14 +120,21 @@ class TestPlumb:
 class TestVerifyMaps:
     def test_default_rows_pass(self, capsys):
         code, report = run_json(
-            capsys, ["verify-maps", "--samples", "50"])
+            capsys, ["verify-maps", "--samples", "150"])
         assert code == 0
         assert report["pass"] is True
-        checks = [r["check"] for r in report["rows"]]
-        for expected in ("h-symmetry", "h-diagonal-on-quadric",
-                         "phi32-tau-invariance", "phi32-image-on-cone",
-                         "phi30-lines-to-quadric"):
-            assert expected in checks
+        rows = report["rows"]
+        assert [r["check"] for r in rows] == [
+            "h-symmetry", "h-diagonal-on-quadric", "phi32-tau-invariance",
+            "phi32-image-on-cone", "phi30-lines-to-quadric",
+            "s5-identification-norm", "orbit-map-invariance",
+            "critical-values-round-trip", "phi30-generic-preimages",
+            "phi30-line-preimages"]
+        assert [r["samples"] for r in rows] == [150] * 8 + [100, 100]
+        special = {"s5-identification-norm": 1e-12,
+                   "critical-values-round-trip": 1e-7}
+        assert [r["tolerance"] for r in rows] == [
+            special.get(r["check"], 1e-9) for r in rows]
 
     def test_zero_samples_rejected(self, capsys):
         assert cli.main(["verify-maps", "--samples", "0"]) == 2
@@ -132,7 +142,7 @@ class TestVerifyMaps:
             verify_maps_report(0, 42, 1e-9)
 
     def test_invalid_tolerance_rejected(self, capsys):
-        for tol in ("nan", "inf", "0", "-1"):
+        for tol in ("nan", "inf", "0", "-1", "-inf", "-1e-3"):
             argv = ["verify-maps", "--samples", "5", "--tol", tol, "--json"]
             assert cli.main(argv) == 2
             captured = capsys.readouterr()

@@ -63,7 +63,7 @@ class TestQuotientMap:
         for _ in range(300):
             p = random_proj_point(rng, 2)
             q = random_proj_point(rng, 2)
-            assert eval_h(p, q).residual_to(eval_h(q, p)) < 1e-12
+            assert proj_residual(eval_h(p, q), eval_h(q, p)) < 1e-12
 
     def test_diagonal_on_quadric(self):
         rng = RNG()
@@ -103,7 +103,7 @@ class TestSquaresMaps:
         rng = RNG()
         for _ in range(300):
             p = random_proj_point(rng, 3)
-            assert eval_phi32(p).residual_to(eval_phi32(tau(p))) < 1e-12
+            assert proj_residual(eval_phi32(p), eval_phi32(tau(p))) < 1e-12
 
     def test_phi32_image_on_cone(self):
         rng = RNG()
@@ -276,7 +276,7 @@ class TestOrbitSpaceMap:
             p = random_unit_sphere_point(rng)
             theta = float(rng.uniform(0, 2 * np.pi))
             moved = weighted_circle_orbit(theta, p)
-            assert orbit_space_map(p).residual_to(orbit_space_map(moved)) < 1e-9
+            assert proj_residual(orbit_space_map(p), orbit_space_map(moved)) < 1e-9
 
     def test_lands_on_cone(self):
         rng = RNG()
@@ -290,3 +290,22 @@ class TestOrbitSpaceMap:
 def test_proj_residual_basics():
     assert proj_residual((1, 2), (2, 4)) < 1e-15
     assert proj_residual((1, 0), (0, 1)) == 1.0
+    for x, y in (((1, 0), (0, 0)), ((0, 0), (1, 0))):
+        with pytest.raises(ValueError):
+            proj_residual(x, y)
+    with pytest.raises(ValueError):
+        ProjPoint((1, 0)).close_to((0, 0))
+
+
+def test_exact_symmetries():
+    # the preimage count for eval_h verifies one ordering of the root pair
+    # and clusters the roots once, which relies on these holding exactly
+    rng = RNG()
+    for _ in range(500):
+        p = random_proj_point(rng, 2)
+        q = random_proj_point(rng, 2)
+        assert eval_h(p, q).coords == eval_h(q, p).coords
+        assert proj_residual(p, q) == proj_residual(q, p)
+        a = random_proj_point(rng, 3)
+        b = random_proj_point(rng, 3)
+        assert proj_residual(a, b) == proj_residual(b, a)

@@ -265,6 +265,10 @@ def test_pointed_branch_shape_catalogue():
         (2, True, ()),
     ]
     assert branch_shapes(2, 1, pointed=True) == shapes[2:]
+    assert [len(branch_shapes(d, None, pointed=True)) for d in range(1, 7)] == [
+        1, 5, 29, 167, 981, 5775]
+    assert [len(branch_shapes(d, 3, pointed=True)) for d in range(1, 7)] == [
+        1, 5, 24, 67, 146, 270]
     assert shape_to_json(shapes[2]) == [1, False, [[1, True, []]]]
     assert shape_to_json((1, ((1, ()),))) == [1, [[1, []]]]
     assert shape_aut_order((0, False, ((1, False, ()), (1, False, ())))) == 2
