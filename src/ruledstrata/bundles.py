@@ -1,9 +1,8 @@
-"""Formal line-bundle and rank-2-bundle arithmetic over the sphere and over
-named stratum spaces.
+"""Formal line-bundle and rank-2-bundle arithmetic over the sphere.
 
-Bundles are expressions, not geometric objects: a base tag plus integer
-Chern data.  Every computation feeding the link pipelines reduces to Euler
-and Chern numbers, so isomorphism testing is integer comparison.  Orbifold
+Bundles are expressions, not geometric objects, known by integer Chern
+data.  Every computation feeding the link pipelines reduces to Euler and
+Chern numbers, so isomorphism testing is integer comparison.  Orbifold
 data is limited to isolated cyclic points, the only case that occurs.
 """
 
@@ -13,23 +12,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-SPHERE = "S2"
-
 
 @dataclass(frozen=True)
 class LineBundleExpr:
-    """A complex line bundle known by its base tag and degree.
+    """A complex line bundle over the sphere, known by its Euler number."""
 
-    Over the sphere `degree` is the Euler number; over a named space it is a
-    tuple of degrees, one per chosen generator.
-    """
-
-    degree: int | tuple[int, ...]
-    base: str = SPHERE
+    degree: int
 
     def __repr__(self):
-        return f"O({self.degree})" if self.base == SPHERE else \
-            f"O({self.degree})@{self.base}"
+        return f"O({self.degree})"
 
 
 def o(degree: int) -> LineBundleExpr:
@@ -42,23 +33,13 @@ TANGENT_SPHERE = o(2)
 
 
 def tensor(a: LineBundleExpr, b: LineBundleExpr) -> LineBundleExpr:
-    """Tensor product; degrees add. Bases must match."""
-    if a.base != b.base:
-        raise ValueError(f"base mismatch: {a.base} vs {b.base}")
-    if isinstance(a.degree, tuple) or isinstance(b.degree, tuple):
-        da = a.degree if isinstance(a.degree, tuple) else (a.degree,)
-        db = b.degree if isinstance(b.degree, tuple) else (b.degree,)
-        if len(da) != len(db):
-            raise ValueError("generator count mismatch")
-        return LineBundleExpr(tuple(x + y for x, y in zip(da, db)), a.base)
-    return LineBundleExpr(a.degree + b.degree, a.base)
+    """Tensor product; degrees add."""
+    return LineBundleExpr(a.degree + b.degree)
 
 
 def pullback_by_degree(d: int, a: LineBundleExpr) -> LineBundleExpr:
-    """Pull back a sphere bundle under a self-map of the given degree."""
-    if a.base != SPHERE:
-        raise ValueError("pullback by degree is defined over the sphere")
-    return LineBundleExpr(d * a.degree, a.base)
+    """Pull back under a self-map of the sphere of the given degree."""
+    return LineBundleExpr(d * a.degree)
 
 
 def gluing_bundle(k: int) -> LineBundleExpr:
@@ -86,19 +67,17 @@ class Rank2BundleExpr:
     """
 
     degrees: tuple[int, int]
-    base: str = SPHERE
 
     @property
     def normal_form(self) -> int:
         return self.degrees[0] + self.degrees[1]
 
     def isomorphic(self, other: "Rank2BundleExpr") -> bool:
-        return self.base == other.base and self.normal_form == other.normal_form
+        return self.normal_form == other.normal_form
 
     def twisted(self, d0: int, d1: int) -> "Rank2BundleExpr":
         """Tensor the factors with line bundles of degrees d0 and d1."""
-        return Rank2BundleExpr((self.degrees[0] + d0, self.degrees[1] + d1),
-                               self.base)
+        return Rank2BundleExpr((self.degrees[0] + d0, self.degrees[1] + d1))
 
     def __repr__(self):
         return f"O({self.degrees[0]})+O({self.degrees[1]})"

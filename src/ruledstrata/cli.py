@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import reports
+from .homology import SURFACES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,8 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _surface(p: argparse.ArgumentParser):
-    p.add_argument("--surface", choices=("trivial", "nontrivial"),
-                   default="trivial")
+    p.add_argument("--surface", choices=tuple(SURFACES), default="trivial")
 
 
 def run(args) -> dict:
@@ -94,6 +94,9 @@ def main(argv=None) -> int:
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
         i += 1
     args = parser.parse_args(argv)
+    # argparse drops a value of exactly "--" (as in --n=--) and stores []
+    if [] in vars(args).values():
+        parser.error("an option was given '--' as its value")
     try:
         report = run(args)
     except ValueError as exc:

@@ -13,24 +13,19 @@ exactly on an integer boundary, so no floating point is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-
-
-class BundleKind(Enum):
-    TRIVIAL = "trivial"
-    NONTRIVIAL = "nontrivial"
 
 
 @dataclass(frozen=True)
 class RuledSurface:
     """A rational ruled surface with a fixed integral basis of H_2.
 
-    `pairing` is the intersection matrix in that basis and `tangent_chern`
-    holds the coefficients of the first Chern class of the tangent bundle.
+    `name` is its key in `SURFACES`, `pairing` the intersection matrix in
+    that basis and `tangent_chern` the coefficients of the first Chern class
+    of the tangent bundle.
     """
 
-    kind: BundleKind
+    name: str
     basis_names: tuple[str, str]
     pairing: tuple[tuple[int, int], tuple[int, int]]
     tangent_chern: tuple[int, int]
@@ -42,7 +37,7 @@ class RuledSurface:
     @property
     def fiber_class(self) -> "H2Class":
         # F itself on the product; L - E on the blow-up.
-        if self.kind is BundleKind.TRIVIAL:
+        if self is TRIVIAL:
             return self.h2(0, 1)
         return self.h2(1, -1)
 
@@ -51,22 +46,25 @@ class RuledSurface:
         return self.h2(*self.tangent_chern)
 
     def __repr__(self):
-        return f"RuledSurface({self.kind.value})"
+        return f"RuledSurface({self.name})"
 
 
 TRIVIAL = RuledSurface(
-    kind=BundleKind.TRIVIAL,
+    name="trivial",
     basis_names=("A", "F"),
     pairing=((0, 1), (1, 0)),
     tangent_chern=(2, 2),
 )
 
 NONTRIVIAL = RuledSurface(
-    kind=BundleKind.NONTRIVIAL,
+    name="nontrivial",
     basis_names=("L", "E"),
     pairing=((1, 0), (0, -1)),
     tangent_chern=(3, -1),
 )
+
+#: Both surfaces, keyed by name.
+SURFACES = {s.name: s for s in (TRIVIAL, NONTRIVIAL)}
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ class SymplecticForm:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", Fraction(self.lam))
-        if self.surface.kind is BundleKind.TRIVIAL:
+        if self.surface is TRIVIAL:
             if self.lam < 0:
                 raise ValueError("lambda must be >= 0 on the product surface")
         else:
@@ -164,7 +162,7 @@ def area(form: SymplecticForm, c: H2Class) -> Fraction:
         raise ValueError("form and class live on different surfaces")
     a, b = c.coeffs
     lam = form.lam
-    if form.surface.kind is BundleKind.TRIVIAL:
+    if form.surface is TRIVIAL:
         return a * (1 + lam) + b
     return a * (1 + lam) + b * lam
 
@@ -175,7 +173,7 @@ def stratum_curve_class(surface: RuledSurface, k: int) -> H2Class:
     Product surface: A - kF for k >= 0.  Blow-up: E - (k-1)F for k >= 1,
     a section of self-intersection 1 - 2k.
     """
-    if surface.kind is BundleKind.TRIVIAL:
+    if surface is TRIVIAL:
         if k < 0:
             raise ValueError("k must be >= 0")
         return surface.h2(1, -k)
@@ -192,7 +190,7 @@ def admissible_strata(form: SymplecticForm) -> list[int]:
     product surface it equals {0, ..., l} where l - 1 < lambda <= l.  On the
     blow-up the indices start at k = 1.
     """
-    start = 0 if form.surface.kind is BundleKind.TRIVIAL else 1
+    start = 0 if form.surface is TRIVIAL else 1
     out = []
     k = start
     while area(form, stratum_curve_class(form.surface, k)) > 0:
@@ -216,7 +214,7 @@ def strata_codim(surface: RuledSurface, k: int) -> int:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if surface.kind is BundleKind.TRIVIAL:
+    if surface is TRIVIAL:
         if k == 0:
             return 0  # open stratum
         return 4 * k - 2

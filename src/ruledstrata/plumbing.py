@@ -9,9 +9,8 @@ Blow-downs of (+/-1) entries give an independent rewrite route to the same
 normal forms.  The five-dimensional rewrites (plumbing a 3-sphere bundle
 with the canonical circle bundle over the plane, or with the weighted
 orbifold circle bundle) are applied only in the forms needed by the link
-pipelines; anything else raises rather than guessing a normal form.  Link
-results are `Space` normal forms tagged "lens", "sphere_bundle3",
-"pullback_canonical" or "s5".
+pipelines.  Link results are `Space` normal forms tagged "lens",
+"sphere_bundle3", "pullback_canonical" or "s5".
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ from dataclasses import dataclass, field
 
 from .bundles import Rank2BundleExpr, gluing_bundle, v2_bundle
 from .homology import NONTRIVIAL, intersect, stratum_curve_class
-
-
-class UnsupportedPlumbingError(ValueError):
-    """A plumbing operation outside the rewrite rules implemented here."""
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +124,11 @@ def chain_to_lens(eulers) -> Space:
 
     Evaluates the negative continued fraction [-e1, -e2, ...] projectively
     (a 2x2 integer matrix product), so interior infinities are harmless:
-    a value p/q of 1/0 is the 3-sphere, 0/1 the product S2 x S1.
+    a value p/q of 1/0 is the 3-sphere, 0/1 the product S2 x S1.  The
+    empty chain, the plumbing of nothing, bounds the 4-ball: its identity
+    matrix gives the 3-sphere.
     """
     eulers = [int(e) for e in eulers]
-    if not eulers:
-        raise ValueError("need a nonempty chain")
     m00, m01, m10, m11 = 1, 0, 0, 1
     for e in eulers:
         a = -e
@@ -175,16 +170,6 @@ def blow_down_fully(chain) -> list[tuple[int, ...]]:
         trace.append(nxt)
 
 
-def recognize_reduced_chain(chain: tuple[int, ...]) -> Space:
-    """Normal form of a blown-down chain.
-
-    Empty chain: the 3-sphere.  Otherwise the continued fraction.
-    """
-    if not chain:
-        return S3
-    return chain_to_lens(chain)
-
-
 # ---------------------------------------------------------------------------
 # rank-2 rewrites used by the link pipelines
 
@@ -200,22 +185,14 @@ def plumb_with_canonical(b: Rank2BundleExpr) -> Rank2BundleExpr:
     return b.twisted(1, 1)
 
 
-def plumb_with_ly(b: Rank2BundleExpr, attach_at: str = "regular",
-                  extra_twist: int = 1) -> Rank2BundleExpr:
+def plumb_with_ly(b: Rank2BundleExpr) -> Rank2BundleExpr:
     """Plumb with the weighted orbifold circle bundle at a regular fiber.
 
     The weighted fiber winds once more than a canonical fiber, so this is
     plumbing with the canonical circle bundle after one extra positive twist
-    on the first factor: (k, m) -> (k+2, m+1).  `extra_twist` = -1 flips the
-    orientation resolution of that extra twist and is exposed only as a
-    diagnostic.  Plumbing at the singular fiber has no rewrite rule here.
+    on the first factor: (k, m) -> (k+2, m+1).
     """
-    if attach_at != "regular":
-        raise UnsupportedPlumbingError(
-            "plumbing at the singular fiber has no normal form here")
-    if extra_twist not in (1, -1):
-        raise ValueError("extra_twist must be +1 or -1")
-    return plumb_with_canonical(b.twisted(extra_twist, 0))
+    return plumb_with_canonical(b.twisted(1, 0))
 
 
 def twist_by_attaching(b: Rank2BundleExpr) -> Rank2BundleExpr:

@@ -12,6 +12,7 @@ reproducible per seed.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -31,8 +32,9 @@ class ProjPoint:
     def __post_init__(self):
         coords = tuple(complex(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
-        if self.scale == 0.0:
-            raise ValueError("projective point cannot be the zero tuple")
+        if not (any(coords) and all(map(cmath.isfinite, coords))):
+            raise ValueError("projective point needs finite coordinates, "
+                             "not all zero")
 
     @classmethod
     def of(cls, pt) -> "ProjPoint":
@@ -62,19 +64,15 @@ class ProjPoint:
 def proj_residual(x, y) -> float:
     """Largest 2x2 minor of two coordinate rows (points or sequences),
     relative to scale; symmetric in its arguments."""
-    x = [complex(c) for c in x]
-    y = [complex(c) for c in y]
+    p, q = ProjPoint.of(x), ProjPoint.of(y)
+    x, y = p.coords, q.coords
     if len(x) != len(y):
         raise ValueError("length mismatch")
-    sx = max(abs(c) for c in x)
-    sy = max(abs(c) for c in y)
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("projective point cannot be the zero tuple")
     worst = 0.0
     for i in range(len(x)):
         for j in range(i + 1, len(x)):
             worst = max(worst, abs(x[i] * y[j] - x[j] * y[i]))
-    return worst / (sx * sy)
+    return worst / (p.scale * q.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +280,7 @@ def _cluster_count(points: Iterable[ProjPoint], tol: float) -> int:
     return len(reps)
 
 
-def count_preimages(f, target, cluster_tol: float = CLUSTER_TOL,
-                    tol: float = DEFAULT_TOL) -> PreimageCount:
+def count_preimages(f, target, cluster_tol: float = CLUSTER_TOL) -> PreimageCount:
     """Number of distinct projective preimages of `target` under `f`.
 
     `f` is one of `eval_phi30`, `eval_phi32`, `eval_h`.  The induced
@@ -299,11 +296,12 @@ def count_preimages(f, target, cluster_tol: float = CLUSTER_TOL,
                eval_h: _count_h}.get(f)
     if counter is None:
         raise ValueError("unsupported map for preimage counting")
-    return counter(target, cluster_tol, tol)
+    return counter(target, cluster_tol)
 
 
-def _verified_cluster(f, candidates, target, cluster_tol, tol):
-    good = [c for c in candidates if proj_residual(f(c), target) < 1e3 * tol]
+def _verified_cluster(f, candidates, target, cluster_tol):
+    good = [c for c in candidates
+            if proj_residual(f(c), target) < 1e3 * DEFAULT_TOL]
     return _cluster_count(good, cluster_tol)
 
 
@@ -312,18 +310,18 @@ def _generic(pt: ProjPoint) -> bool:
     return min(abs(c) for c in pt.coords) >= GENERIC_MARGIN * pt.scale
 
 
-def _count_phi30(target, cluster_tol, tol) -> PreimageCount:
+def _count_phi30(target, cluster_tol) -> PreimageCount:
     u, v, w = target.coords
     ru, rv, rw = np.sqrt(complex(u)), np.sqrt(complex(v)), np.sqrt(complex(w))
     candidates = []
     for s1 in (1, -1):
         for s2 in (1, -1):
             candidates.append(ProjPoint((ru, s1 * rv, s2 * rw)))
-    count = _verified_cluster(eval_phi30, candidates, target, cluster_tol, tol)
+    count = _verified_cluster(eval_phi30, candidates, target, cluster_tol)
     return PreimageCount(count, _generic(target))
 
 
-def _count_phi32(target, cluster_tol, tol) -> PreimageCount:
+def _count_phi32(target, cluster_tol) -> PreimageCount:
     u, v, w, t = target.coords
     if abs(u) >= abs(v) and abs(u) > GENERIC_MARGIN**2:
         x = np.sqrt(complex(u))
@@ -340,18 +338,18 @@ def _count_phi32(target, cluster_tol, tol) -> PreimageCount:
             candidates.append(ProjPoint((x, y, s * rw)))
         except ValueError:
             pass  # zero tuple: no candidate from this sign
-    count = _verified_cluster(eval_phi32, candidates, target, cluster_tol, tol)
+    count = _verified_cluster(eval_phi32, candidates, target, cluster_tol)
     generic = (min(abs(u), abs(v)) >= GENERIC_MARGIN * target.scale
                and abs(w) >= GENERIC_MARGIN * target.scale)
     return PreimageCount(count, generic)
 
 
-def _count_h(target, cluster_tol, tol) -> PreimageCount:
+def _count_h(target, cluster_tol) -> PreimageCount:
     u, v, w = target.coords
     # the unordered pair {x, y} solves v T^2 - (u+v+w) T + u = 0
     roots = _homogeneous_quadratic_roots((v, -(u + v + w), u))
     # eval_h is exactly symmetric, so one ordering of the pair verifies both
-    verified = proj_residual(eval_h(*roots), target) < 1e3 * tol
+    verified = proj_residual(eval_h(*roots), target) < 1e3 * DEFAULT_TOL
     count = _cluster_count(roots, cluster_tol) if verified else 0
     return PreimageCount(count, quadric_residual(target) >= GENERIC_MARGIN)
 

@@ -16,14 +16,15 @@ import numpy as np
 
 from . import homology, plumbing, projective_maps as pm, stable_trees
 from .bundles import gluing_bundle
-from .homology import NONTRIVIAL, TRIVIAL, BundleKind, RuledSurface, SymplecticForm
+from .homology import NONTRIVIAL, SURFACES, TRIVIAL, RuledSurface, SymplecticForm
 
 
 def surface_by_name(name: str) -> RuledSurface:
     try:
-        return {"trivial": TRIVIAL, "nontrivial": NONTRIVIAL}[name]
+        return SURFACES[name]
     except KeyError:
-        raise ValueError(f"unknown surface {name!r}; use trivial or nontrivial")
+        raise ValueError(f"unknown surface {name!r}; "
+                         f"use {' or '.join(SURFACES)}")
 
 
 def _frac(x: Fraction) -> str:
@@ -50,14 +51,14 @@ def strata_report(lam: Fraction, surface: RuledSurface) -> dict:
         }
         if k == 0:
             row["note"] = "pointed link dimension 4m-3 (inferred)"
-        if surface.kind is BundleKind.NONTRIVIAL:
+        if surface is NONTRIVIAL:
             check = homology.codim_cross_check(surface, k)
             row["codim_adjunction"] = check.adjunction
             row["codim_consistent"] = check.consistent
         rows.append(row)
     return {
         "subcommand": "strata",
-        "params": {"lambda": _frac(lam), "surface": surface.kind.value},
+        "params": {"lambda": _frac(lam), "surface": surface.name},
         "rows": rows,
         "pass": True,
     }
@@ -74,7 +75,7 @@ class UnsupportedLinkError(ValueError):
     def __init__(self, m, k, surface):
         cases = "; ".join(SUPPORTED_LINKS)
         super().__init__(
-            f"link for m={m}, k={k} on the {surface.kind.value} surface "
+            f"link for m={m}, k={k} on the {surface.name} surface "
             f"is not derived here; supported cases: {cases}")
 
 
@@ -84,10 +85,10 @@ def links_report(m: int, k: int, surface: RuledSurface) -> dict:
         raise ValueError("need m > k >= 0")
     report = {
         "subcommand": "links",
-        "params": {"m": m, "k": k, "surface": surface.kind.value},
+        "params": {"m": m, "k": k, "surface": surface.name},
         "pass": True,
     }
-    if surface.kind is BundleKind.TRIVIAL and m == k + 1 and k >= 1:
+    if surface is TRIVIAL and m == k + 1 and k >= 1:
         bundle = gluing_bundle(k)
         space = plumbing.link_adjacent(k)
         report["trace"] = [
@@ -97,7 +98,7 @@ def links_report(m: int, k: int, surface: RuledSurface) -> dict:
         report["result"] = space.to_json()
         report["display"] = space.display()
         return report
-    if surface.kind is BundleKind.TRIVIAL and (m, k) == (2, 0):
+    if surface is TRIVIAL and (m, k) == (2, 0):
         run = plumbing.link20_pipeline()
         trace = []
         for rule, state in run.steps:
@@ -112,7 +113,7 @@ def links_report(m: int, k: int, surface: RuledSurface) -> dict:
         report["sublink"] = run.sublink.to_json()
         report["sublink_display"] = run.sublink.display()
         return report
-    if surface.kind is BundleKind.NONTRIVIAL and m == k + 1 and k >= 1:
+    if surface is NONTRIVIAL and m == k + 1 and k >= 1:
         run = plumbing.link_nontrivial(k)
         report["trace"] = [
             {"rule": "adjacent-link-stated-value", "space": run.space.to_json()},
@@ -135,9 +136,11 @@ def links_report(m: int, k: int, surface: RuledSurface) -> dict:
 
 def plumb_report(chain: list[int]) -> dict:
     """Normal form of a linear plumbing chain, with the blow-down trace."""
+    if not chain:
+        raise ValueError("need a nonempty chain")
     space = plumbing.chain_to_lens(chain)
     trace = plumbing.blow_down_fully(chain)
-    reduced = plumbing.recognize_reduced_chain(trace[-1])
+    reduced = plumbing.chain_to_lens(trace[-1])
     return {
         "subcommand": "plumb",
         "params": {"chain": list(chain)},

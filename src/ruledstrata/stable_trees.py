@@ -126,17 +126,13 @@ def is_stable(t: StableTree) -> bool:
     return True
 
 
-def combinatorial_isotropy(t: StableTree, cyclic_cover_factors: bool = False) -> int:
+def combinatorial_isotropy(t: StableTree) -> int:
     """Order of the automorphism group of the labeled tree.
 
     Automorphisms fix the stem and preserve component labels.  Marked points
     are labeled, so any component carrying one is fixed.  This counts only
     domain-tree symmetry and is an upper bound for the isotropy of a stable
     map with this shadow.
-
-    With `cyclic_cover_factors` on, every component of fiber degree d >= 2
-    contributes an extra declared factor of d for the deck symmetry of a
-    maximally symmetric cover; off by default.
     """
     n = len(t.components)
     adj = t.adjacency()
@@ -170,11 +166,6 @@ def combinatorial_isotropy(t: StableTree, cyclic_cover_factors: bool = False) ->
             cu, ou = walk(u, v)
             cv, ov = walk(v, u)
             order = ou * ov * (2 if cu == cv else 1)
-    if cyclic_cover_factors:
-        for comp in t.components:
-            a, d = comp.label.coeffs
-            if a == 0 and d >= 2:
-                order *= d
     return order
 
 

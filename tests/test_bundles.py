@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from ruledstrata.bundles import (
     TANGENT_SPHERE,
-    LineBundleExpr,
     Rank2BundleExpr,
     gluing_bundle,
     ly_bundle,
@@ -24,8 +23,6 @@ deg = st.integers(min_value=-40, max_value=40)
 def test_tensor_examples():
     assert tensor(o(-4), o(2)) == o(-2)
     assert tensor(o(7), o(0)) == o(7)
-    with pytest.raises(ValueError):
-        tensor(o(1), LineBundleExpr(1, base="Y"))
 
 
 @given(deg, deg, deg)

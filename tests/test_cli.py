@@ -1,8 +1,11 @@
 """Command-line interface and report contracts."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ruledstrata import cli
 from ruledstrata.reports import (
@@ -114,7 +117,12 @@ class TestPlumb:
         assert report["result"]["p"] == 0
 
     def test_empty_chain(self, capsys):
-        assert cli.main(["plumb", "--chain", ""]) == 2
+        for argv in (["plumb", "--chain", ""], ["plumb", "--chain=,"],
+                     ["plumb", "--chain", "", "--json"]):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: need a nonempty chain\n"
 
 
 class TestVerifyMaps:
@@ -227,3 +235,91 @@ class TestReportContracts:
         assert len(lines) >= 5  # header, separator, three rows
         assert len({len(l) for l in lines}) == 1
         assert set(lines[1]) <= {"-", " "}
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract over generated argvs
+
+def _mostly(valid, *junk):
+    """Values that are valid four times in five, junk otherwise."""
+    bad = st.sampled_from(("", "x", "-", "--", "1.5", "nan") + junk)
+    return st.integers(0, 4).flatmap(lambda i: bad if i == 0 else valid)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# Each option with the values it may take: valid values within the work
+# bounds (--n <= 5, --samples <= 30, |lambda| <= 50, chains of <= 12
+# entries) and junk.
+_VALUES = {
+    "--lambda": _mostly(st.one_of(_ints(-50, 50), st.tuples(
+        st.integers(-50, 50), st.integers(-3, 4)).map("{0[0]}/{0[1]}".format)),
+        "1/", "2/-3", "inf"),
+    "--surface": _mostly(st.sampled_from(("trivial", "nontrivial")), "bogus"),
+    "--m": _mostly(_ints(-1, 4)),
+    "--k": _mostly(_ints(-1, 3)),
+    "--chain": _mostly(st.lists(st.integers(-6, 3), max_size=12).map(
+        lambda c: ",".join(map(str, c))), ",", "-2,x", "1,,2", " -1 , -1 "),
+    "--samples": _mostly(_ints(-2, 30)),
+    "--seed": _mostly(_ints(-5, 2**40)),
+    "--tol": _mostly(st.floats().map(repr), "0", "-inf", "1e-300"),
+    "--n": _mostly(_ints(-2, 5)),
+    "--depth": _mostly(_ints(-3, 4)),
+}
+_OPTIONS = {
+    "strata": ("--lambda", "--surface"),
+    "links": ("--m", "--k", "--surface"),
+    "plumb": ("--chain",),
+    "verify-maps": ("--samples", "--seed", "--tol"),
+    "decompositions": ("--n", "--depth", "--pointed"),
+    "bogus": (),
+}
+_STRAY = ("--json", "--pointed", "--bogus", "--chain", "-1")
+
+
+def _group(opt):
+    if opt in _VALUES:
+        return _VALUES[opt].map(lambda v: [opt, v])
+    return st.just([opt])
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with each of its own options and --json three times in
+    four, sometimes with a stray token or another subcommand's option."""
+    sub = draw(st.sampled_from(sorted(_OPTIONS)))
+    own = _OPTIONS[sub] + ("--json",)
+    groups = [draw(_group(opt)) for opt in own if draw(st.integers(0, 3))]
+    groups += draw(st.lists(st.one_of(
+        st.sampled_from(_STRAY).map(lambda tok: [tok]),
+        st.sampled_from(sorted(_VALUES)).flatmap(_group)), max_size=1))
+    groups = draw(st.permutations(groups))
+    return [sub] + [tok for group in groups for tok in group]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+# argparse stores [] for an option whose value is exactly "--"
+@example(["plumb", "--chain", "--"])
+@example(["verify-maps", "--samples=--", "--json"])
+def test_cli_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    # a --json right after an option is that option's value, not the flag
+    as_json = any(tok == "--json" and prev not in _VALUES
+                  for prev, tok in zip(argv, argv[1:]))
+    if as_json and code in (0, 1):
+        text = out.getvalue()
+        report = json.loads(text, parse_constant=_reject_constant)
+        assert json.dumps(report, indent=2, allow_nan=False) + "\n" == text

@@ -41,6 +41,12 @@ class TestProjPoint:
         with pytest.raises(ValueError):
             ProjPoint((0, 0, 0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(1, np.nan), complex(np.inf, 0)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ProjPoint((1, bad))
+
     def test_scaling_invariance(self):
         rng = RNG()
         for _ in range(50):
@@ -295,6 +301,13 @@ def test_proj_residual_basics():
             proj_residual(x, y)
     with pytest.raises(ValueError):
         ProjPoint((1, 0)).close_to((0, 0))
+    # a non-finite coordinate used to compare false inside `max` and vanish
+    for bad in (np.nan, np.inf, -np.inf):
+        for x, y in (((1, bad), (1, 1)), ((1, 1), (bad, 1))):
+            with pytest.raises(ValueError):
+                proj_residual(x, y)
+    # the scale is the largest modulus, so huge coordinates do not overflow
+    assert proj_residual((1e308, 1e308), (1, 1)) == 0.0
 
 
 def test_exact_symmetries():

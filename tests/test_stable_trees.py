@@ -234,7 +234,6 @@ class TestIsotropy:
         comps = (TreeComponent(stem_class(2)), branch(2))
         t = StableTree(comps, ((0, 1),), stem=0)
         assert combinatorial_isotropy(t) == 1
-        assert combinatorial_isotropy(t, cyclic_cover_factors=True) == 2
 
     def test_nested_symmetry(self):
         # two equal subtrees hanging off one branch vertex
