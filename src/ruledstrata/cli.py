@@ -74,7 +74,8 @@ def run(args) -> dict:
         chain = [int(x) for x in args.chain.split(",") if x.strip()]
         return reports.plumb_report(chain)
     if args.subcommand == "verify-maps":
-        return reports.verify_maps_report(args.samples, args.seed, args.tol)
+        from .projective_maps import verify_maps_report
+        return verify_maps_report(args.samples, args.seed, args.tol)
     if args.subcommand == "decompositions":
         depth = None if args.depth < 0 else args.depth
         return reports.decompositions_report(args.n, depth, args.pointed)

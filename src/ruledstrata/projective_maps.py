@@ -7,12 +7,14 @@ scale-invariant comparisons: two homogeneous tuples agree when all their
 a homogeneous equation when the residual is small relative to scale to the
 degree of the equation.  Comparisons use `DEFAULT_TOL` unless `close_to` is
 given a tolerance.  Random sampling takes an explicit generator so runs are
-reproducible per seed.
+reproducible per seed.  The module ends with the one report builder it
+holds, `verify_maps_report`, and its `VERIFY_CHECKS` table.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -445,3 +447,110 @@ def random_separated_pair(rng, min_gap: float = 1e-3) -> tuple[ProjPoint, ProjPo
         y = random_proj_point(rng, 2)
         if proj_residual(x, y) >= min_gap:
             return x, y
+
+
+# ---------------------------------------------------------------------------
+# verify-maps
+
+
+def _h_symmetry_residual(rng) -> float:
+    p, q = random_proj_point(rng, 2), random_proj_point(rng, 2)
+    return proj_residual(eval_h(p, q), eval_h(q, p))
+
+
+def _h_diagonal_residual(rng) -> float:
+    p = random_proj_point(rng, 2)
+    return quadric_residual(eval_h(p, p))
+
+
+def _tau_residual(rng) -> float:
+    p = random_proj_point(rng, 3)
+    return proj_residual(eval_phi32(p), eval_phi32(tau(p)))
+
+
+def _orbit_residual(rng) -> float:
+    p = random_unit_sphere_point(rng)
+    moved = weighted_circle_orbit(float(rng.uniform(0.0, 2.0 * np.pi)), p)
+    return proj_residual(orbit_space_map(p), orbit_space_map(moved))
+
+
+def _round_trip_residual(rng) -> float:
+    x, y = random_separated_pair(rng)
+    found = critical_values(map_from_critical_values(x, y))
+    return unordered_pair_residual(found.values, (x, y))
+
+
+def _cover_line_residual(s1: int, s2: int):
+    return lambda rng: quadric_residual(
+        eval_phi30(random_point_on_cover_line(rng, s1, s2)))
+
+
+def _line_preimage_error(i: int):
+    return lambda rng: abs(count_preimages(
+        eval_phi30, random_line_target(rng, i)).count - 2)
+
+
+#: One entry per verify-maps row, in the order the seeded stream is drawn:
+#: (check, rule, threshold or None for the requested tolerance, sample cap
+#: or None, draws).  Each draw maps the generator to one sample's residual
+#: and runs once per sample; a row with several draws covers one family
+#: each, in turn.
+VERIFY_CHECKS = (
+    ("h-symmetry", "factor-swap-symmetry", None, None, [_h_symmetry_residual]),
+    ("h-diagonal-on-quadric", "diagonal-image-quadric", None, None,
+     [_h_diagonal_residual]),
+    ("phi32-tau-invariance", "involution-quotient", None, None, [_tau_residual]),
+    ("phi32-image-on-cone", "cone-equation", None, None, [
+        lambda rng: y_residual(eval_phi32(random_proj_point(rng, 3)))]),
+    ("phi30-lines-to-quadric", "cover-lines-over-quadric", None, None,
+     [_cover_line_residual(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]),
+    ("s5-identification-norm", "quotient-sphere-identification", 1e-12, None, [
+        lambda rng: abs(sum(abs(c) ** 2 for c in s5_identification(
+            random_unit_sphere_point(rng))) - 1.0)]),
+    ("orbit-map-invariance", "weighted-action-quotient", None, None,
+     [_orbit_residual]),
+    ("critical-values-round-trip", "branch-point-normal-form", 1e-7, None,
+     [_round_trip_residual]),
+    ("phi30-generic-preimages", "four-fold-cover", None, 100, [
+        lambda rng: abs(count_preimages(
+            eval_phi30, random_generic_square_target(rng)).count - 4)]),
+    ("phi30-line-preimages", "branch-line-cover", None, 100,
+     [_line_preimage_error(i) for i in range(3)]),
+)
+
+
+def verify_maps_report(samples: int, seed: int, tol: float) -> dict:
+    """Residual report for the explicit projective models.
+
+    One row per `VERIFY_CHECKS` entry, each with the sample count, the
+    worst relative residual seen and a pass flag at that row's tolerance.
+    The unit-norm check is held to 1e-12 and the branch-point round-trip to
+    1e-7; the remaining identities use the requested tolerance.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    rng = np.random.default_rng(seed)
+    rows = []
+    for check, rule, threshold, cap, draws in VERIFY_CHECKS:
+        n = samples if cap is None else min(samples, cap)
+        threshold = tol if threshold is None else threshold
+        worst = 0.0
+        for draw in draws:
+            for _ in range(n):
+                worst = max(worst, draw(rng))
+        rows.append({
+            "check": check,
+            "samples": n,
+            "maxResidual": float(worst),
+            "tolerance": threshold,
+            "pass": bool(worst < threshold),
+            "rule": rule,
+        })
+    return {
+        "subcommand": "verify-maps",
+        "params": {"samples": samples, "seed": seed, "tolerance": tol},
+        "rows": rows,
+        "pass": all(r["pass"] for r in rows),
+    }

@@ -334,7 +334,7 @@ def branch_shapes(d: int, max_extra_nodes: int | None = 3,
     shapes = list(_pointed_shapes_all(d) if pointed else _shapes_all(d))
     if max_extra_nodes is None:
         return shapes
-    return [s for s in shapes if shape_edges(s) <= max_extra_nodes]
+    return [s for s in shapes if _shape_counts(s)[0] <= max_extra_nodes]
 
 
 def shape_edges(shape) -> int:
@@ -347,6 +347,14 @@ def shape_aut_order(shape) -> int:
     for c in shape[-1]:
         order *= shape_aut_order(c)
     return order
+
+
+@lru_cache(maxsize=None)
+def _shape_counts(shape) -> tuple[int, int]:
+    """`shape_edges` and `shape_aut_order` at once, cached per subtree."""
+    kids = [_shape_counts(c) for c in shape[-1]]
+    return (len(kids) + sum(e for e, _ in kids),
+            _perm_order(shape[-1]) * math.prod(a for _, a in kids))
 
 
 def shape_to_json(shape) -> list:
@@ -422,9 +430,9 @@ def enumerate_strata(n: int, max_branch_depth: int | None = 3,
                 rest.remove(d0)
             marked = () if ps is None else (ps,)
             for combo in _assign_shapes(_runs(rest), max_branch_depth):
-                extra = sum(shape_edges(s) for s in combo + marked)
-                dim = 4 * n - 2 * p - 2 * extra - 2 * len(marked)
-                iso = math.prod(shape_aut_order(s) for s in combo + marked)
+                edges, auts = zip(*map(_shape_counts, combo + marked))
+                dim = 4 * n - 2 * p - 2 * sum(edges) - 2 * len(marked)
+                iso = math.prod(auts)
                 out.append(StratumDescriptor(dec, combo, dim, iso,
                                              pointed_part=d0, pointed_shape=ps))
     out.sort(key=lambda s: (-s.dimension, s.decomposition.parts, s.shapes))

@@ -34,9 +34,9 @@ from ruledstrata.projective_maps import (
     random_unit_sphere_point,
     s5_identification,
     unordered_pair_residual,
+    verify_maps_report,
     weighted_circle_orbit,
 )
-from ruledstrata.reports import verify_maps_report
 from ruledstrata.stable_trees import (
     StableTree,
     TreeComponent,

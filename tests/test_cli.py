@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ruledstrata import cli
+from ruledstrata.projective_maps import verify_maps_report
 from ruledstrata.reports import (
     UnsupportedLinkError,
     links_report,
     plumb_report,
     strata_report,
     surface_by_name,
-    verify_maps_report,
 )
 
 

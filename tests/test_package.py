@@ -7,16 +7,61 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# Prints which of numpy and the numeric module a fresh interpreter has loaded.
+NUMERIC_PROBE = ("import sys; print(sorted(m for m in sys.modules "
+                 "if m in ('numpy', 'ruledstrata.projective_maps')))")
+
+
+def run_fresh(code: str) -> list[str]:
+    """Run code in a fresh interpreter with `src` on the path; stdout lines."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.splitlines()
+
+
+def run_cli_fresh(argvs) -> list[str]:
+    """Run `cli.main` on each argv in one fresh interpreter, output captured;
+    print the exit codes, then the numeric modules it loaded."""
+    code = ("import contextlib, io\n"
+            "from ruledstrata import cli\n"
+            "codes = []\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        codes.append(cli.main(argv))\n"
+            "print(codes)\n" + NUMERIC_PROBE)
+    return run_fresh(code)
+
 
 def test_import_loads_no_submodule():
     # the package is a namespace with a version; the API lives in the
     # submodules, so importing it must not pull in numpy or any of them
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     code = ("import sys, ruledstrata; print(ruledstrata.__version__); "
             "print(sorted(m for m in sys.modules if m == 'numpy' "
             "or m.startswith('ruledstrata.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.splitlines() == ["0.1.0", "[]"]
+    assert run_fresh(code) == ["0.1.0", "[]"]
+
+
+def test_exact_subcommands_load_no_numpy():
+    # only verify-maps needs floating point; the exact subcommands, their
+    # --json form and an invalid input must not import numpy
+    argvs = []
+    for argv in (["strata", "--lambda", "5/2"], ["links", "--m", "2", "--k", "0"],
+                 ["plumb", "--chain=-3,-1"], ["decompositions", "--n", "3"]):
+        argvs += [argv, argv + ["--json"]]
+    argvs += [["links", "--m", "3", "--k", "2", "--surface", "nontrivial"],
+              ["decompositions", "--n", "3", "--pointed", "--json"],
+              ["strata", "--lambda", "1/0"]]
+    assert run_cli_fresh(argvs) == [str([0] * 10 + [2]), "[]"]
+
+
+def test_reports_import_loads_no_numpy():
+    assert run_fresh("import ruledstrata.reports\n" + NUMERIC_PROBE) == ["[]"]
+
+
+def test_verify_maps_loads_numpy():
+    # the positive case: the probe sees the numeric modules when they load
+    assert run_cli_fresh([["verify-maps", "--samples", "5"]]) == [
+        "[0]", "['numpy', 'ruledstrata.projective_maps']"]

@@ -1,5 +1,7 @@
 """Stability, partitions, stratum enumeration and combinatorial isotropy."""
 
+import math
+
 import pytest
 
 from ruledstrata.homology import TRIVIAL
@@ -180,6 +182,25 @@ class TestEnumerateStrata:
                             for s in d.shapes + (d.pointed_shape,))
                 p = len(d.decomposition.parts)
                 assert d.dimension == 4 * n - 2 * p - 2 * extra - 2
+
+    @pytest.mark.parametrize("pointed", [False, True])
+    def test_cached_shape_counts_match_recursion(self, pointed):
+        # enumerate_strata and branch_shapes read edge and automorphism
+        # counts from a per-shape cache; the plain recursions are the oracle
+        for d in range(1, 7):
+            full = branch_shapes(d, None, pointed=pointed)
+            for k in (0, 1, 3):
+                assert branch_shapes(d, k, pointed=pointed) == [
+                    s for s in full if shape_edges(s) <= k]
+        for n in range(1, 7):
+            for depth in (None, 3):
+                for desc in enumerate_strata(n, depth, pointed=pointed):
+                    shapes = desc.shapes + ((desc.pointed_shape,) if pointed else ())
+                    extra = sum(shape_edges(s) for s in shapes)
+                    p = len(desc.decomposition.parts)
+                    assert desc.dimension == 4 * n - 2 * p - 2 * extra - 2 * pointed
+                    assert desc.isotropy == math.prod(
+                        shape_aut_order(s) for s in shapes)
 
     def test_json_schema(self):
         for desc in enumerate_strata(2):
