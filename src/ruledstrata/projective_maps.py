@@ -3,12 +3,18 @@ double-cover stratum.
 
 Everything here is double-precision complex arithmetic with projective,
 scale-invariant comparisons: two homogeneous tuples agree when all their
-2x2 minors vanish relative to the coordinate scales, and a point satisfies
-a homogeneous equation when the residual is small relative to scale to the
-degree of the equation.  Comparisons use `DEFAULT_TOL` unless `close_to` is
+2x2 minors vanish once each tuple is divided by its largest modulus, and a
+point satisfies a homogeneous equation when the equation is small at the
+point so divided.  Comparisons use `DEFAULT_TOL` unless `close_to` is
 given a tolerance.  Random sampling takes an explicit generator so runs are
-reproducible per seed.  The module ends with the one report builder it
-holds, `verify_maps_report`, and its `VERIFY_CHECKS` table.
+reproducible per seed.
+
+Each model exists twice: a scalar form on one point (`eval_h`,
+`proj_residual`, `critical_values`, `count_preimages`, ...) and a batch
+form on the rows of an (n, k) complex array, named with a `_rows` suffix.
+The report builder at the end, `verify_maps_report` with its
+`VERIFY_CHECKS` table, runs the batch forms only; the scalar forms are
+the reference the tests hold the batch forms to.
 """
 
 from __future__ import annotations
@@ -65,16 +71,79 @@ class ProjPoint:
 
 def proj_residual(x, y) -> float:
     """Largest 2x2 minor of two coordinate rows (points or sequences),
-    relative to scale; symmetric in its arguments."""
-    p, q = ProjPoint.of(x), ProjPoint.of(y)
-    x, y = p.coords, q.coords
+    each divided by its largest modulus first, so no product overflows;
+    symmetric in its arguments."""
+    x = ProjPoint.of(x).normalized().coords
+    y = ProjPoint.of(y).normalized().coords
     if len(x) != len(y):
         raise ValueError("length mismatch")
     worst = 0.0
     for i in range(len(x)):
         for j in range(i + 1, len(x)):
             worst = max(worst, abs(x[i] * y[j] - x[j] * y[i]))
-    return worst / (p.scale * q.scale)
+    return worst
+
+
+# The batch forms round as the scalar forms do, so the tests can hold them
+# to the scalar forms within 1e-15.  Two numpy operations round otherwise,
+# so in the batch forms every complex product goes through `_mul` (numpy
+# may fuse its multiply-adds) and every modulus through `_modulus` (numpy's
+# complex abs may differ from Python's, which is hypot, in the last bit).
+
+
+def _mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Complex product of arrays, rounded as Python's complex product."""
+    re = u.real * v.real - u.imag * v.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = u.real * v.imag + u.imag * v.real
+    return out
+
+
+def _modulus(a: np.ndarray) -> np.ndarray:
+    return np.hypot(a.real, a.imag)
+
+
+def _row_max(m: np.ndarray) -> np.ndarray:
+    """Largest entry of each row of a nonnegative (n, k) array, NaN kept.
+
+    Folds the k columns: numpy reduces along a short last axis an order
+    of magnitude more slowly.
+    """
+    out = np.zeros(len(m))
+    for col in m.T:
+        out = np.maximum(out, col)
+    return out
+
+
+def _unit_rows(a) -> np.ndarray:
+    """Each row of a complex (n, k) array divided by its largest modulus.
+
+    The batch form of `ProjPoint(row).normalized()`, bit for bit: a row
+    with a non-finite coordinate, or with every coordinate zero, raises.
+    """
+    a = np.ascontiguousarray(a, dtype=complex)
+    scale = _row_max(_modulus(a))
+    # a NaN or infinite coordinate makes the scale NaN or infinite
+    if not np.all((scale > 0) & (scale < np.inf)):
+        raise ValueError("projective point needs finite coordinates, "
+                         "not all zero")
+    # real and imaginary parts divided apart, as Python divides by a float
+    return (a.view(float) / scale[:, None]).view(complex)
+
+
+def proj_residual_rows(x, y) -> np.ndarray:
+    """`proj_residual` of each pair of rows of two (n, k) arrays.
+
+    This is the one array residual helper: every batch residual goes
+    through `_unit_rows`, which checks the rows and divides each by its
+    scale before any minor or equation is formed.
+    """
+    x, y = _unit_rows(x), _unit_rows(y)
+    if x.shape != y.shape:
+        raise ValueError("length mismatch")
+    i, j = np.triu_indices(x.shape[1], 1)
+    return _row_max(_modulus(_mul(x[:, i], y[:, j]) - _mul(x[:, j], y[:, i])))
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +162,22 @@ def eval_h(p, q) -> ProjPoint:
     return ProjPoint((x0 * y0, x1 * y1, x0 * y1 + x1 * y0 - x0 * y0 - x1 * y1))
 
 
+def eval_h_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`eval_h` of each pair of rows of two (n, 2) arrays."""
+    # xy[i, j] = x_i y_j; the sample axis last keeps numpy's loops long
+    (x0y0, x0y1), (x1y0, x1y1) = _mul(p.T[:, None], q.T[None])
+    return np.stack([x0y0, x1y1, x0y1 + x1y0 - x0y0 - x1y1], axis=1)
+
+
 def quadric_residual(pt) -> float:
-    pt = ProjPoint.of(pt)
-    u, v, w = pt.coords
-    return abs((u + v + w) ** 2 - 4 * u * v) / pt.scale**2
+    u, v, w = ProjPoint.of(pt).normalized().coords
+    return abs((u + v + w) ** 2 - 4 * u * v)
+
+
+def quadric_residual_rows(pts) -> np.ndarray:
+    """`quadric_residual` of each row of an (n, 3) array."""
+    u, v, w = _unit_rows(pts).T
+    return _modulus(_mul(u + v + w, u + v + w) - _mul(4 * u, v))
 
 
 def quadric_q(pt) -> bool:
@@ -110,10 +191,22 @@ def tau(pt) -> ProjPoint:
     return ProjPoint((x, y, -z))
 
 
+def tau_rows(pts: np.ndarray) -> np.ndarray:
+    """`tau` of each row of an (n, 3) array."""
+    out = pts.copy()
+    out[:, 2] = -out[:, 2]
+    return out
+
+
 def eval_phi30(pt) -> ProjPoint:
     """Coordinate squares [x:y:z] -> [x^2:y^2:z^2], a 4-fold cover."""
     x, y, z = ProjPoint.of(pt).coords
     return ProjPoint((x * x, y * y, z * z))
+
+
+def eval_phi30_rows(pts: np.ndarray) -> np.ndarray:
+    """`eval_phi30` of each row of an (n, 3) array."""
+    return _mul(pts, pts)
 
 
 def eval_phi32(pt) -> ProjPoint:
@@ -122,10 +215,20 @@ def eval_phi32(pt) -> ProjPoint:
     return ProjPoint((x * x, y * y, z * z, x * y))
 
 
+def eval_phi32_rows(pts: np.ndarray) -> np.ndarray:
+    """`eval_phi32` of each row of an (n, 3) array."""
+    return _mul(pts[:, [0, 1, 2, 0]], pts[:, [0, 1, 2, 1]])
+
+
 def y_residual(pt) -> float:
-    pt = ProjPoint.of(pt)
-    u, v, w, t = pt.coords
-    return abs(t * t - u * v) / pt.scale**2
+    u, v, w, t = ProjPoint.of(pt).normalized().coords
+    return abs(t * t - u * v)
+
+
+def y_residual_rows(pts) -> np.ndarray:
+    """`y_residual` of each row of an (n, 4) array."""
+    u, v, w, t = _unit_rows(pts).T
+    return _modulus(_mul(t, t) - _mul(u, v))
 
 
 def on_y(pt) -> bool:
@@ -187,7 +290,7 @@ class BranchPoints(NamedTuple):
 def _homogeneous_quadratic_roots(coeffs) -> list[ProjPoint]:
     """Projective roots of A x0^2 + B x0 x1 + C x1^2, with multiplicity."""
     arr = np.asarray(coeffs, dtype=complex)
-    scale = float(np.max(np.abs(arr)))
+    scale = float(_modulus(arr).max())
     if scale == 0.0:
         raise ValueError("zero polynomial")
     trimmed = arr / scale
@@ -198,6 +301,31 @@ def _homogeneous_quadratic_roots(coeffs) -> list[ProjPoint]:
         lead += 1
     for r in np.roots(trimmed[lead:]):
         roots.append(ProjPoint((complex(r), 1)))
+    return roots
+
+
+def _quadratic_roots_rows(w: np.ndarray) -> np.ndarray:
+    """`_homogeneous_quadratic_roots` of each row of an (n, 3) array, as
+    (n, 2, 2) homogeneous pairs.
+
+    Leading coefficients below 1e-14 of the row scale give roots at
+    infinity; full quadratics are solved by the companion matrices that
+    `np.roots` builds, so both forms find the same roots, bit for bit.
+    """
+    t = w / _row_max(_modulus(w))[:, None]
+    roots = np.ones((len(t), 2, 2), dtype=complex)
+    small = _modulus(t[:, :2]) < 1e-14
+    at_inf = small[:, 0]
+    both_inf = at_inf & small[:, 1]
+    roots[at_inf, 0, 1] = 0
+    roots[both_inf, 1, 1] = 0
+    linear = at_inf & ~both_inf
+    roots[linear, 1, 0] = -t[linear, 2] / t[linear, 1]
+    full = ~at_inf
+    companion = np.zeros((int(full.sum()), 2, 2), dtype=complex)
+    companion[:, 0] = -t[full, 1:] / t[full, :1]
+    companion[:, 1, 0] = 1
+    roots[full, :, 0] = np.linalg.eigvals(companion)
     return roots
 
 
@@ -223,6 +351,40 @@ def critical_values(m: RationalMapDeg2) -> BranchPoints:
         value = m(pts[0])
         return BranchPoints((value, value), True)
     return BranchPoints((m(pts[0]), m(pts[1])), False)
+
+
+def critical_values_rows(num, den, tolerance: float = DEFAULT_TOL
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """`critical_values` of the maps with coefficient rows `num` and `den`,
+    two (n, 3) arrays: the branch-point pairs as (n, 2, 2) and the
+    degenerate flags.
+
+    Any row that `RationalMapDeg2(num, den, tolerance)` would refuse, for a
+    shared root, raises.
+    """
+    num = np.asarray(num, dtype=complex)
+    den = np.asarray(den, dtype=complex)
+    a, b, c = num.T
+    d, e, f = den.T
+    ae, bd, af, cd, bf, ce = _mul(np.stack([a, b, a, c, b, c]),
+                                  np.stack([e, d, f, d, f, e]))
+    w = np.stack([ae - bd, 2 * (af - cd), bf - ce], axis=1)
+    disc = _mul(w[:, 1], w[:, 1]) - _mul(4 * w[:, 0], w[:, 2])
+    # disc is exactly 4x the resultant that RationalMapDeg2 checks
+    size = (_row_max(_modulus(num)) * _row_max(_modulus(den))) ** 2
+    if not np.all(_modulus(disc) > 4 * tolerance * size):
+        raise ValueError("numerator and denominator share a root")
+    scale = _row_max(_modulus(w))
+    degenerate = _modulus(disc) < max(tolerance, DEFAULT_TOL) * scale**2
+    pts = _quadratic_roots_rows(w)
+    pts[degenerate, 1] = pts[degenerate, 0]
+    # numerator and denominator (axis 0) at both points (axis 1) at once,
+    # with the sample axis last
+    x0, x1 = pts[..., 0].T[None], pts[..., 1].T[None]
+    a, b, c = np.stack([num.T, den.T], axis=1)[:, :, None]
+    m = _mul
+    values = m(m(a, x0), x0) + m(m(b, x0), x1) + m(m(c, x1), x1)
+    return values.transpose(2, 1, 0), degenerate
 
 
 def map_from_critical_values(x, y) -> RationalMapDeg2:
@@ -263,6 +425,17 @@ def unordered_pair_residual(pair_a, pair_b) -> float:
     straight = max(proj_residual(a0, b0), proj_residual(a1, b1))
     crossed = max(proj_residual(a0, b1), proj_residual(a1, b0))
     return min(straight, crossed)
+
+
+def unordered_pair_residual_rows(pairs_a: np.ndarray, pairs_b: np.ndarray
+                                 ) -> np.ndarray:
+    """`unordered_pair_residual` of each pair of rows of two (n, 2, k)
+    arrays; a NaN residual is kept, not dropped."""
+    n, _, k = pairs_a.shape
+    # a0 against b0, a1 against b1, a0 against b1, a1 against b0
+    r = proj_residual_rows(pairs_a[:, [0, 1, 0, 1]].reshape(-1, k),
+                           pairs_b[:, [0, 1, 1, 0]].reshape(-1, k)).reshape(n, 4)
+    return np.minimum(np.maximum(r[:, 0], r[:, 1]), np.maximum(r[:, 2], r[:, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +485,17 @@ def _generic(pt: ProjPoint) -> bool:
     return min(abs(c) for c in pt.coords) >= GENERIC_MARGIN * pt.scale
 
 
+def _generic_rows(pts: np.ndarray) -> np.ndarray:
+    """`_generic` of each row of an (n, k) array."""
+    size = _modulus(pts)
+    return size.min(axis=1) >= GENERIC_MARGIN * _row_max(size)
+
+
+#: The sign patterns (1, s1, s2) of the phi30 preimage candidates, in the
+#: order `_count_phi30` tries them.
+_PHI30_SIGNS = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
+
+
 def _count_phi30(target, cluster_tol) -> PreimageCount:
     u, v, w = target.coords
     ru, rv, rw = np.sqrt(complex(u)), np.sqrt(complex(v)), np.sqrt(complex(w))
@@ -321,6 +505,29 @@ def _count_phi30(target, cluster_tol) -> PreimageCount:
             candidates.append(ProjPoint((ru, s1 * rv, s2 * rw)))
     count = _verified_cluster(eval_phi30, candidates, target, cluster_tol)
     return PreimageCount(count, _generic(target))
+
+
+def count_phi30_rows(targets) -> tuple[np.ndarray, np.ndarray]:
+    """`count_preimages(eval_phi30, t)` for each row t of an (n, 3) array:
+    the counts and the generic flags.
+
+    The four square-root candidates of each target are verified against it
+    and clustered greedily in the scalar order, all rows at once.
+    """
+    target = _unit_rows(targets)
+    candidates = np.sqrt(target)[:, None, :] * _PHI30_SIGNS  # exact: signs
+    verified = proj_residual_rows(
+        eval_phi30_rows(candidates.reshape(-1, 3)),
+        np.repeat(target, len(_PHI30_SIGNS), axis=0),
+    ).reshape(len(target), -1) < 1e3 * DEFAULT_TOL
+    reps = np.zeros_like(verified)
+    for j in range(len(_PHI30_SIGNS)):
+        new = verified[:, j]
+        for k in range(j):
+            new = new & (~reps[:, k] | (proj_residual_rows(
+                candidates[:, j], candidates[:, k]) >= CLUSTER_TOL))
+        reps[:, j] = new
+    return reps.sum(axis=1), _generic_rows(target)
 
 
 def _count_phi32(target, cluster_tol) -> PreimageCount:
@@ -368,11 +575,31 @@ def _require_unit(xyz, tol=1e-6):
     return x, y, z
 
 
+def _norm_sq_rows(pts: np.ndarray) -> np.ndarray:
+    x, y, z = _modulus(pts.T)
+    return x**2 + y**2 + z**2
+
+
+def _require_unit_rows(pts, tol=1e-6) -> np.ndarray:
+    """An (n, 3) array whose every row must be a unit vector."""
+    pts = np.asarray(pts, dtype=complex)
+    if not np.all(np.abs(_norm_sq_rows(pts) - 1.0) <= tol):
+        raise ValueError("point must lie on the unit 5-sphere")
+    return pts
+
+
 def weighted_circle_orbit(theta: float, p) -> tuple[complex, complex, complex]:
     """Weight (1, 1, 2) circle action on the unit sphere in C^3."""
     x, y, z = _require_unit(p)
     rot = np.exp(1j * theta)
     return (rot * x, rot * y, rot * rot * z)
+
+
+def weighted_circle_orbit_rows(theta: np.ndarray, pts) -> np.ndarray:
+    """`weighted_circle_orbit` of each angle and row of an (n, 3) array."""
+    pts = _require_unit_rows(pts)
+    rot = np.exp(1j * theta)
+    return _mul(np.stack([rot, rot, _mul(rot, rot)], axis=1), pts)
 
 
 def s5_identification(p) -> tuple[complex, complex, complex]:
@@ -386,6 +613,13 @@ def s5_identification(p) -> tuple[complex, complex, complex]:
     return (x * stretch, y * stretch, z * z)
 
 
+def s5_identification_rows(pts) -> np.ndarray:
+    """`s5_identification` of each row of an (n, 3) array."""
+    x, y, z = _require_unit_rows(pts).T
+    stretch = np.sqrt(1.0 + _modulus(z) ** 2)
+    return _mul(np.stack([x, y, z], axis=1), np.stack([stretch, stretch, z], axis=1))
+
+
 def orbit_space_map(p) -> ProjPoint:
     """Quotient of the weighted circle action, landing on the quadric cone.
 
@@ -396,126 +630,195 @@ def orbit_space_map(p) -> ProjPoint:
     return ProjPoint((x * x, y * y, z, x * y))
 
 
+def orbit_space_map_rows(pts) -> np.ndarray:
+    """`orbit_space_map` of each row of an (n, 3) array."""
+    pts = _require_unit_rows(pts)
+    out = eval_phi32_rows(pts)  # x^2, y^2, z^2, xy
+    out[:, 2] = pts[:, 2]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # seeded samplers
+#
+# Each sampler draws a batch of n rows; the one-point samplers draw a batch
+# of one, which takes the same values from the generator.
+
+
+def random_proj_rows(rng, n: int, k: int) -> np.ndarray:
+    """n random points of projective (k-1)-space as (n, k) rows of
+    standard complex Gaussians: their directions are uniform on the unit
+    sphere, and every residual divides by the scale itself."""
+    return rng.standard_normal((n, 2 * k)).view(complex)
 
 
 def random_proj_point(rng, n: int) -> ProjPoint:
-    parts = rng.standard_normal(2 * n)
-    coords = tuple(complex(parts[2 * i], parts[2 * i + 1]) for i in range(n))
-    return ProjPoint(coords).normalized()
+    return ProjPoint(tuple(random_proj_rows(rng, 1, n)[0]))
+
+
+def random_unit_sphere_rows(rng, n: int) -> np.ndarray:
+    """n random points of the unit sphere in C^3 as (n, 3) rows."""
+    v = rng.standard_normal((n, 6)).view(complex)
+    return v / np.sqrt(_norm_sq_rows(v))[:, None]
 
 
 def random_unit_sphere_point(rng) -> tuple[complex, complex, complex]:
-    parts = rng.standard_normal(6)
-    v = np.array([complex(parts[0], parts[1]), complex(parts[2], parts[3]),
-                  complex(parts[4], parts[5])])
-    v = v / np.linalg.norm(v)
-    return (complex(v[0]), complex(v[1]), complex(v[2]))
+    x, y, z = random_unit_sphere_rows(rng, 1)[0]
+    return (complex(x), complex(y), complex(z))
+
+
+def _draw_until(rng, n: int, draw, keep) -> np.ndarray:
+    """n rows of `draw(rng, m)` that pass `keep`, drawing the shortfall
+    again until none is left."""
+    parts = []
+    while n:
+        rows = draw(rng, n)
+        rows = rows[keep(rows)]
+        parts.append(rows)
+        n -= len(rows)
+    return np.concatenate(parts)
+
+
+def random_generic_square_rows(rng, n: int) -> np.ndarray:
+    """n squares-map targets with all coordinates away from zero."""
+    return _draw_until(rng, n, lambda rng, m: random_proj_rows(rng, m, 3),
+                       _generic_rows)
 
 
 def random_generic_square_target(rng) -> ProjPoint:
-    """A squares-map target with all coordinates away from zero."""
-    while True:
-        pt = random_proj_point(rng, 3)
-        if _generic(pt):
-            return pt
+    return ProjPoint(tuple(random_generic_square_rows(rng, 1)[0]))
+
+
+def random_line_target_rows(rng, n: int, i: int) -> np.ndarray:
+    """n generic points of the i-th coordinate line in the plane."""
+    pts = _draw_until(rng, n, lambda rng, m: random_proj_rows(rng, m, 2),
+                      _generic_rows)
+    return np.insert(pts, i, 0, axis=1)
 
 
 def random_line_target(rng, i: int) -> ProjPoint:
-    """A generic point of the i-th coordinate line in the plane."""
-    while True:
-        pt = random_proj_point(rng, 2)
-        if _generic(pt):
-            return ProjPoint(pt.coords[:i] + (0.0,) + pt.coords[i:])
+    return ProjPoint(tuple(random_line_target_rows(rng, 1, i)[0]))
+
+
+def random_cover_line_rows(rng, n: int, s1: int, s2: int) -> np.ndarray:
+    """n points of the line x + s1 y + s2 i z = 0 upstairs of the quadric."""
+    def draw(rng, m):
+        y, z = random_proj_rows(rng, m, 2).T
+        return np.stack([-(s1 * y + s2 * 1j * z), y, z], axis=1)
+    return _draw_until(rng, n, draw, lambda rows: _row_max(_modulus(rows)) > 0)
 
 
 def random_point_on_cover_line(rng, s1: int, s2: int) -> ProjPoint:
-    """A point of the line x + s1 y + s2 i z = 0 upstairs of the quadric."""
-    while True:
-        y, z = random_proj_point(rng, 2).coords
-        x = -(s1 * y + s2 * 1j * z)
-        try:
-            return ProjPoint((x, y, z)).normalized()
-        except ValueError:
-            continue
+    return ProjPoint(tuple(random_cover_line_rows(rng, 1, s1, s2)[0]))
+
+
+def random_separated_pair_rows(rng, n: int, min_gap: float = 1e-3
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """n pairs of points of the sphere at least `min_gap` apart, as two
+    (n, 2) arrays."""
+    def draw(rng, m):
+        return np.hstack([random_proj_rows(rng, m, 2),
+                          random_proj_rows(rng, m, 2)])
+    pairs = _draw_until(rng, n, draw, lambda rows: proj_residual_rows(
+        rows[:, :2], rows[:, 2:]) >= min_gap)
+    return pairs[:, :2], pairs[:, 2:]
 
 
 def random_separated_pair(rng, min_gap: float = 1e-3) -> tuple[ProjPoint, ProjPoint]:
-    while True:
-        x = random_proj_point(rng, 2)
-        y = random_proj_point(rng, 2)
-        if proj_residual(x, y) >= min_gap:
-            return x, y
+    x, y = random_separated_pair_rows(rng, 1, min_gap)
+    return ProjPoint(tuple(x[0])), ProjPoint(tuple(y[0]))
 
 
 # ---------------------------------------------------------------------------
 # verify-maps
 
+#: Samples drawn and checked at a time: enough that numpy's per-call cost
+#: does not dominate, few enough that a chunk's arrays stay near 100 kB.
+VERIFY_CHUNK = 1024
 
-def _h_symmetry_residual(rng) -> float:
-    p, q = random_proj_point(rng, 2), random_proj_point(rng, 2)
-    return proj_residual(eval_h(p, q), eval_h(q, p))
-
-
-def _h_diagonal_residual(rng) -> float:
-    p = random_proj_point(rng, 2)
-    return quadric_residual(eval_h(p, p))
+#: The most samples `verify_maps_report` takes (about 15 s of work); it
+#: raises above this.
+MAX_SAMPLES = 10**6
 
 
-def _tau_residual(rng) -> float:
-    p = random_proj_point(rng, 3)
-    return proj_residual(eval_phi32(p), eval_phi32(tau(p)))
+def _h_symmetry(rng, n):
+    p, q = random_proj_rows(rng, n, 2), random_proj_rows(rng, n, 2)
+    return proj_residual_rows(eval_h_rows(p, q), eval_h_rows(q, p))
 
 
-def _orbit_residual(rng) -> float:
-    p = random_unit_sphere_point(rng)
-    moved = weighted_circle_orbit(float(rng.uniform(0.0, 2.0 * np.pi)), p)
-    return proj_residual(orbit_space_map(p), orbit_space_map(moved))
+def _h_diagonal(rng, n):
+    p = random_proj_rows(rng, n, 2)
+    return quadric_residual_rows(eval_h_rows(p, p))
 
 
-def _round_trip_residual(rng) -> float:
-    x, y = random_separated_pair(rng)
-    found = critical_values(map_from_critical_values(x, y))
-    return unordered_pair_residual(found.values, (x, y))
+def _tau_invariance(rng, n):
+    p = random_proj_rows(rng, n, 3)
+    return proj_residual_rows(eval_phi32_rows(p), eval_phi32_rows(tau_rows(p)))
 
 
-def _cover_line_residual(s1: int, s2: int):
-    return lambda rng: quadric_residual(
-        eval_phi30(random_point_on_cover_line(rng, s1, s2)))
+def _cover_line(s1, s2):
+    return lambda rng, n: quadric_residual_rows(
+        eval_phi30_rows(random_cover_line_rows(rng, n, s1, s2)))
 
 
-def _line_preimage_error(i: int):
-    return lambda rng: abs(count_preimages(
-        eval_phi30, random_line_target(rng, i)).count - 2)
+def _s5_norm(rng, n):
+    out = s5_identification_rows(random_unit_sphere_rows(rng, n))
+    return np.abs(_norm_sq_rows(out) - 1.0)
+
+
+def _orbit_invariance(rng, n):
+    p = random_unit_sphere_rows(rng, n)
+    moved = weighted_circle_orbit_rows(rng.uniform(0.0, 2.0 * np.pi, n), p)
+    return proj_residual_rows(orbit_space_map_rows(p), orbit_space_map_rows(moved))
+
+
+def _round_trip(rng, n):
+    x, y = random_separated_pair_rows(rng, n)
+    zero = np.zeros(n)
+    # map_from_critical_values(x, y) for each row: the squaring map
+    # conjugated to send 0 and infinity to x and y
+    found, _ = critical_values_rows(np.stack([y[:, 0], zero, x[:, 0]], axis=1),
+                                    np.stack([y[:, 1], zero, x[:, 1]], axis=1))
+    return unordered_pair_residual_rows(found, np.stack([x, y], axis=1))
+
+
+def _generic_preimages(rng, n):
+    counts, _ = count_phi30_rows(random_generic_square_rows(rng, n))
+    return np.abs(counts - 4).astype(float)
+
+
+def _line_preimages(i):
+    def draw(rng, n):
+        counts, _ = count_phi30_rows(random_line_target_rows(rng, n, i))
+        return np.abs(counts - 2).astype(float)
+    return draw
 
 
 #: One entry per verify-maps row, in the order the seeded stream is drawn:
 #: (check, rule, threshold or None for the requested tolerance, sample cap
-#: or None, draws).  Each draw maps the generator to one sample's residual
-#: and runs once per sample; a row with several draws covers one family
-#: each, in turn.
+#: or None, draws).  Each draw maps the generator and a sample count m to
+#: the m residuals of m fresh samples; a row with several draws covers one
+#: family each, in turn.
 VERIFY_CHECKS = (
-    ("h-symmetry", "factor-swap-symmetry", None, None, [_h_symmetry_residual]),
+    ("h-symmetry", "factor-swap-symmetry", None, None, [_h_symmetry]),
     ("h-diagonal-on-quadric", "diagonal-image-quadric", None, None,
-     [_h_diagonal_residual]),
-    ("phi32-tau-invariance", "involution-quotient", None, None, [_tau_residual]),
+     [_h_diagonal]),
+    ("phi32-tau-invariance", "involution-quotient", None, None,
+     [_tau_invariance]),
     ("phi32-image-on-cone", "cone-equation", None, None, [
-        lambda rng: y_residual(eval_phi32(random_proj_point(rng, 3)))]),
+        lambda rng, n: y_residual_rows(eval_phi32_rows(random_proj_rows(rng, n, 3)))]),
     ("phi30-lines-to-quadric", "cover-lines-over-quadric", None, None,
-     [_cover_line_residual(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]),
-    ("s5-identification-norm", "quotient-sphere-identification", 1e-12, None, [
-        lambda rng: abs(sum(abs(c) ** 2 for c in s5_identification(
-            random_unit_sphere_point(rng))) - 1.0)]),
+     [_cover_line(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]),
+    ("s5-identification-norm", "quotient-sphere-identification", 1e-12, None,
+     [_s5_norm]),
     ("orbit-map-invariance", "weighted-action-quotient", None, None,
-     [_orbit_residual]),
+     [_orbit_invariance]),
     ("critical-values-round-trip", "branch-point-normal-form", 1e-7, None,
-     [_round_trip_residual]),
-    ("phi30-generic-preimages", "four-fold-cover", None, 100, [
-        lambda rng: abs(count_preimages(
-            eval_phi30, random_generic_square_target(rng)).count - 4)]),
+     [_round_trip]),
+    ("phi30-generic-preimages", "four-fold-cover", None, 100,
+     [_generic_preimages]),
     ("phi30-line-preimages", "branch-line-cover", None, 100,
-     [_line_preimage_error(i) for i in range(3)]),
+     [_line_preimages(i) for i in range(3)]),
 )
 
 
@@ -523,12 +826,17 @@ def verify_maps_report(samples: int, seed: int, tol: float) -> dict:
     """Residual report for the explicit projective models.
 
     One row per `VERIFY_CHECKS` entry, each with the sample count, the
-    worst relative residual seen and a pass flag at that row's tolerance.
+    worst relative residual seen, a pass flag at that row's tolerance and
+    `worstSample`, the 0-based index of the worst draw counted family by
+    family (the first of equal worst ones; a NaN residual counts as worst).
     The unit-norm check is held to 1e-12 and the branch-point round-trip to
-    1e-7; the remaining identities use the requested tolerance.
+    1e-7; the remaining identities use the requested tolerance.  Samples
+    are drawn `VERIFY_CHUNK` at a time; more than `MAX_SAMPLES` raises.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples {samples} is above the limit {MAX_SAMPLES}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     rng = np.random.default_rng(seed)
@@ -536,17 +844,21 @@ def verify_maps_report(samples: int, seed: int, tol: float) -> dict:
     for check, rule, threshold, cap, draws in VERIFY_CHECKS:
         n = samples if cap is None else min(samples, cap)
         threshold = tol if threshold is None else threshold
-        worst = 0.0
-        for draw in draws:
-            for _ in range(n):
-                worst = max(worst, draw(rng))
+        worst, worst_at = 0.0, 0
+        for family, draw in enumerate(draws):
+            for start in range(0, n, VERIFY_CHUNK):
+                residuals = draw(rng, min(VERIFY_CHUNK, n - start))
+                i = int(np.argmax(residuals))  # the first NaN, if any
+                if not math.isnan(worst) and not residuals[i] <= worst:
+                    worst, worst_at = float(residuals[i]), family * n + start + i
         rows.append({
             "check": check,
             "samples": n,
-            "maxResidual": float(worst),
+            "maxResidual": worst,
             "tolerance": threshold,
             "pass": bool(worst < threshold),
             "rule": rule,
+            "worstSample": worst_at,
         })
     return {
         "subcommand": "verify-maps",

@@ -160,6 +160,28 @@ class TestVerifyMaps:
             with pytest.raises(ValueError):
                 verify_maps_report(5, 42, tol)
 
+    def test_samples_above_limit_rejected(self, capsys):
+        for argv in (["verify-maps", "--samples", "1000001"],
+                     ["verify-maps", "--samples", str(10**12), "--json"]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert "samples" in captured.err
+            assert "limit 1000000" in captured.err
+
+    def test_worst_sample_in_range(self, capsys):
+        code, report = run_json(capsys, ["verify-maps", "--samples", "150"])
+        assert code == 0
+        families = {"phi30-lines-to-quadric": 4, "phi30-line-preimages": 3}
+        for row in report["rows"]:
+            assert isinstance(row["worstSample"], int)
+            assert 0 <= row["worstSample"] < (
+                row["samples"] * families.get(row["check"], 1))
+        assert cli.main(["verify-maps", "--samples", "150"]) == 0
+        header = capsys.readouterr().out.splitlines()[1].split()
+        assert header[-1] == "worstSample"
+
     def test_seeded_rerun_identical(self, capsys):
         argv = ["verify-maps", "--samples", "40", "--seed", "7", "--json"]
         assert cli.main(argv) == 0

@@ -1,36 +1,63 @@
 """Numeric checks for the explicit projective models."""
 
+import json
+
 import numpy as np
 import pytest
 
+from ruledstrata import projective_maps
 from ruledstrata.projective_maps import (
+    MAX_SAMPLES,
     SINGULAR_CONE_POINT,
+    VERIFY_CHECKS,
+    VERIFY_CHUNK,
     ProjPoint,
     RationalMapDeg2,
     apply_mobius,
     compose_mobius,
+    count_phi30_rows,
     count_preimages,
     critical_values,
+    critical_values_rows,
     eval_h,
+    eval_h_rows,
     eval_phi30,
+    eval_phi30_rows,
     eval_phi32,
+    eval_phi32_rows,
     map_from_critical_values,
     on_y,
     orbit_space_map,
+    orbit_space_map_rows,
     proj_residual,
+    proj_residual_rows,
     quadric_q,
     quadric_residual,
+    quadric_residual_rows,
+    random_cover_line_rows,
+    random_generic_square_rows,
     random_generic_square_target,
     random_line_target,
+    random_line_target_rows,
     random_point_on_cover_line,
     random_proj_point,
+    random_proj_rows,
     random_separated_pair,
+    random_separated_pair_rows,
     random_unit_sphere_point,
+    random_unit_sphere_rows,
     s5_identification,
+    s5_identification_rows,
     squaring_map,
     tau,
+    tau_rows,
     unordered_pair_residual,
+    unordered_pair_residual_rows,
+    verify_maps_report,
     weighted_circle_orbit,
+    weighted_circle_orbit_rows,
+    y_residual,
+    y_residual_rows,
 )
 
 RNG = lambda: np.random.default_rng(42)  # noqa: E731
@@ -308,6 +335,11 @@ def test_proj_residual_basics():
                 proj_residual(x, y)
     # the scale is the largest modulus, so huge coordinates do not overflow
     assert proj_residual((1e308, 1e308), (1, 1)) == 0.0
+    # each row is divided by its own scale before the minors: the product
+    # of the raw coordinates would overflow to inf - 1e200, then NaN
+    assert proj_residual((1e200, 1e200), (1e200, 1)) == 1.0
+    assert proj_residual((1e200, 1), (1e200, 1e200)) == 1.0
+    assert proj_residual_rows([[1e200, 1e200]], [[1e200, 1]]).tolist() == [1.0]
 
 
 def test_exact_symmetries():
@@ -322,3 +354,296 @@ def test_exact_symmetries():
         a = random_proj_point(rng, 3)
         b = random_proj_point(rng, 3)
         assert proj_residual(a, b) == proj_residual(b, a)
+
+
+# ---------------------------------------------------------------------------
+# the batch forms against the scalar forms they are held to
+
+ORACLE_TOL = 1e-15
+
+
+def points(rows):
+    return [ProjPoint(tuple(r)) for r in rows]
+
+
+def assert_residuals_agree(batch, scalar):
+    assert batch.shape == (len(scalar),)
+    assert np.max(np.abs(batch - np.array(scalar))) <= ORACLE_TOL
+
+
+def assert_points_agree(batch_rows, scalar_points):
+    assert len(batch_rows) == len(scalar_points)
+    assert max(proj_residual(b, s)
+               for b, s in zip(points(batch_rows), scalar_points)) <= ORACLE_TOL
+
+
+def near_copies(rng, rows, size):
+    """Rows times random scalars, moved by about `size`: residuals near
+    zero, as the identities produce."""
+    scalars = random_proj_rows(rng, len(rows), 1)
+    return rows * scalars + size * random_proj_rows(rng, len(rows), rows.shape[1])
+
+
+class TestBatchOracle:
+    N = 400
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_proj_residual(self, k):
+        rng = RNG()
+        x = random_proj_rows(rng, self.N, k)
+        for y in (random_proj_rows(rng, self.N, k), near_copies(rng, x, 1e-12)):
+            assert_residuals_agree(
+                proj_residual_rows(x, y),
+                [proj_residual(p, q) for p, q in zip(points(x), points(y))])
+
+    @pytest.mark.parametrize("row", [[1, np.nan], [1, -np.inf],
+                                     [complex(1, np.nan), 1], [0, 0]])
+    def test_bad_rows_rejected(self, row):
+        good = random_proj_rows(RNG(), 3, 2)
+        rows = np.vstack([good, [row]])
+        with pytest.raises(ValueError, match="finite coordinates"):
+            proj_residual_rows(rows, rows[::-1])
+        with pytest.raises(ValueError, match="finite coordinates"):
+            quadric_residual_rows(np.hstack([rows, rows[:, :1]]))
+        with pytest.raises(ValueError, match="length mismatch"):
+            proj_residual_rows(good, random_proj_rows(RNG(), 3, 3))
+
+    def test_maps(self):
+        rng = RNG()
+        p, q = random_proj_rows(rng, self.N, 2), random_proj_rows(rng, self.N, 2)
+        assert_points_agree(eval_h_rows(p, q),
+                            [eval_h(a, b) for a, b in zip(points(p), points(q))])
+        t = random_proj_rows(rng, self.N, 3)
+        assert_points_agree(eval_phi30_rows(t), [eval_phi30(a) for a in points(t)])
+        assert_points_agree(eval_phi32_rows(t), [eval_phi32(a) for a in points(t)])
+        assert_points_agree(tau_rows(t), [tau(a) for a in points(t)])
+
+    def test_quadric_and_cone_residuals(self):
+        rng = RNG()
+        p = random_proj_rows(rng, self.N, 2)
+        on_quadric = eval_h_rows(p, p)
+        cover = random_cover_line_rows(rng, self.N, 1, -1)
+        for rows in (random_proj_rows(rng, self.N, 3), on_quadric,
+                     eval_phi30_rows(cover), near_copies(rng, on_quadric, 1e-9)):
+            assert_residuals_agree(quadric_residual_rows(rows),
+                                   [quadric_residual(a) for a in points(rows)])
+        t = random_proj_rows(rng, self.N, 3)
+        for rows in (random_proj_rows(rng, self.N, 4), eval_phi32_rows(t)):
+            assert_residuals_agree(y_residual_rows(rows),
+                                   [y_residual(a) for a in points(rows)])
+
+    def test_sphere_maps(self):
+        rng = RNG()
+        u = random_unit_sphere_rows(rng, self.N)
+        theta = rng.uniform(0, 2 * np.pi, self.N)
+        moved = weighted_circle_orbit_rows(theta, u)
+        scalar_moved = [weighted_circle_orbit(t, a) for t, a in zip(theta, u)]
+        assert np.max(np.abs(moved - np.array(scalar_moved))) <= ORACLE_TOL
+        assert_points_agree(orbit_space_map_rows(moved),
+                            [orbit_space_map(a) for a in scalar_moved])
+        s5 = s5_identification_rows(u)
+        assert np.max(np.abs(s5 - np.array([s5_identification(a) for a in u]))
+                      ) <= ORACLE_TOL
+
+    def test_unit_sphere_check(self):
+        rows = random_unit_sphere_rows(RNG(), 5)
+        rows[3] *= 1 + 1e-5
+        for f in (s5_identification_rows, orbit_space_map_rows,
+                  lambda r: weighted_circle_orbit_rows(np.zeros(len(r)), r)):
+            f(rows[:3])
+            with pytest.raises(ValueError, match="unit 5-sphere"):
+                f(rows)
+        with pytest.raises(ValueError, match="unit 5-sphere"):
+            s5_identification_rows([[1, 0, np.nan]])
+
+    def test_unordered_pairs(self):
+        rng = RNG()
+        x, y = random_separated_pair_rows(rng, self.N)
+        a = np.stack([x, y], axis=1)
+        for b in (np.stack([y, x], axis=1), np.stack(random_separated_pair_rows(
+                rng, self.N), axis=1)):
+            assert_residuals_agree(
+                unordered_pair_residual_rows(a, b),
+                [unordered_pair_residual(points(pa), points(pb))
+                 for pa, pb in zip(a, b)])
+
+    @staticmethod
+    def near_confluent_maps(rng, n):
+        """Maps whose critical points sit about sqrt(eps) apart, eps from
+        1e-14 to 1e-6: (x0^2 - eps x1^2 : x0 x1) postcomposed with a random
+        fractional-linear map, which keeps the critical points."""
+        eps = 10.0 ** rng.uniform(-14, -6, n)
+        num = np.stack([np.ones(n), np.zeros(n), -eps], axis=1)
+        den = np.tile([0.0, 1.0, 0.0], (n, 1))
+        g = random_proj_rows(rng, n, 4)
+        return (g[:, :1] * num + g[:, 1:2] * den,
+                g[:, 2:3] * num + g[:, 3:4] * den)
+
+    def test_critical_values(self):
+        rng = RNG()
+        x, y = random_separated_pair_rows(rng, self.N)
+        zero = np.zeros(self.N)
+        round_trip = (np.stack([y[:, 0], zero, x[:, 0]], axis=1),
+                      np.stack([y[:, 1], zero, x[:, 1]], axis=1))
+        general = (random_proj_rows(rng, self.N, 3),
+                   random_proj_rows(rng, self.N, 3))
+        flags = []
+        for (num, den), tol in ((round_trip, 1e-9), (general, 1e-9),
+                                (self.near_confluent_maps(rng, self.N), 1e-30)):
+            values, degenerate = critical_values_rows(num, den, tol)
+            scalar = [critical_values(RationalMapDeg2(tuple(a), tuple(b), tol))
+                      for a, b in zip(num, den)]
+            assert degenerate.tolist() == [s.degenerate for s in scalar]
+            for i in (0, 1):
+                assert_points_agree(values[:, i], [s.values[i] for s in scalar])
+            flags.append(int(degenerate.sum()))
+        # the near-confluent maps reach both sides of the degenerate flag
+        assert flags[:2] == [0, 0] and 0 < flags[2] < self.N
+
+    def test_critical_values_shared_root_rejected(self):
+        num = random_proj_rows(RNG(), 3, 3)
+        for bad_num, bad_den, tol in (([1, 0, 0], [1, 0, 0], 1e-9),
+                                      ([1, 0, -1e-13], [0, 1, 0], 1e-9),
+                                      ([0, 0, 0], [0, 1, 0], 1e-30)):
+            with pytest.raises(ValueError):
+                RationalMapDeg2(bad_num, bad_den, tol)
+            with pytest.raises(ValueError, match="share a root"):
+                critical_values_rows(np.vstack([num, bad_num]),
+                                     np.vstack([num[::-1], bad_den]), tol)
+
+    def test_phi30_counts(self):
+        rng = RNG()
+        special = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0],
+                            [1, 1e-4, 1], [1, -1, 1j], [4, 1e-300, 1]], complex)
+        for targets in (random_generic_square_rows(rng, self.N),
+                        random_proj_rows(rng, self.N, 3), special,
+                        *(random_line_target_rows(rng, self.N, i) for i in range(3))):
+            counts, generic = count_phi30_rows(targets)
+            scalar = [count_preimages(eval_phi30, t) for t in points(targets)]
+            assert counts.tolist() == [s.count for s in scalar]
+            assert generic.tolist() == [s.generic for s in scalar]
+
+    def test_one_point_samplers_draw_a_batch_of_one(self):
+        for one, batch in (
+                (lambda rng: random_proj_point(rng, 3).coords,
+                 lambda rng: random_proj_rows(rng, 1, 3)[0]),
+                (random_generic_square_target,
+                 lambda rng: random_generic_square_rows(rng, 1)[0]),
+                (lambda rng: random_line_target(rng, 1),
+                 lambda rng: random_line_target_rows(rng, 1, 1)[0]),
+                (lambda rng: random_point_on_cover_line(rng, -1, 1),
+                 lambda rng: random_cover_line_rows(rng, 1, -1, 1)[0]),
+                (random_unit_sphere_point,
+                 lambda rng: random_unit_sphere_rows(rng, 1)[0]),
+                (lambda rng: random_separated_pair(rng)[1],
+                 lambda rng: random_separated_pair_rows(rng, 1)[1][0])):
+            assert tuple(one(RNG())) == tuple(batch(RNG()))
+
+
+def scalar_draw(check, family, rng, n):
+    """One family of a verify-maps row point by point with the scalar forms,
+    on the samples the batch draw takes from the same generator."""
+    if check == "h-symmetry":
+        p, q = points(random_proj_rows(rng, n, 2)), points(random_proj_rows(rng, n, 2))
+        return [proj_residual(eval_h(a, b), eval_h(b, a)) for a, b in zip(p, q)]
+    if check == "h-diagonal-on-quadric":
+        return [quadric_residual(eval_h(a, a))
+                for a in points(random_proj_rows(rng, n, 2))]
+    if check == "phi32-tau-invariance":
+        return [proj_residual(eval_phi32(a), eval_phi32(tau(a)))
+                for a in points(random_proj_rows(rng, n, 3))]
+    if check == "phi32-image-on-cone":
+        return [y_residual(eval_phi32(a)) for a in points(random_proj_rows(rng, n, 3))]
+    if check == "phi30-lines-to-quadric":
+        s1, s2 = [(1, 1), (1, -1), (-1, 1), (-1, -1)][family]
+        return [quadric_residual(eval_phi30(a))
+                for a in points(random_cover_line_rows(rng, n, s1, s2))]
+    if check == "s5-identification-norm":
+        return [abs(sum(abs(c) ** 2 for c in s5_identification(a)) - 1.0)
+                for a in random_unit_sphere_rows(rng, n)]
+    if check == "orbit-map-invariance":
+        u = random_unit_sphere_rows(rng, n)
+        theta = rng.uniform(0.0, 2.0 * np.pi, n)
+        return [proj_residual(orbit_space_map(a),
+                              orbit_space_map(weighted_circle_orbit(t, a)))
+                for t, a in zip(theta, u)]
+    if check == "critical-values-round-trip":
+        x, y = random_separated_pair_rows(rng, n)
+        return [unordered_pair_residual(
+            critical_values(map_from_critical_values(a, b)).values, (a, b))
+            for a, b in zip(points(x), points(y))]
+    if check == "phi30-generic-preimages":
+        return [abs(count_preimages(eval_phi30, t).count - 4)
+                for t in points(random_generic_square_rows(rng, n))]
+    if check == "phi30-line-preimages":
+        return [abs(count_preimages(eval_phi30, t).count - 2)
+                for t in points(random_line_target_rows(rng, n, family))]
+    raise AssertionError(check)
+
+
+@pytest.mark.parametrize("check, draws", [(c[0], c[-1]) for c in VERIFY_CHECKS])
+def test_verify_draws_match_scalar_forms(check, draws):
+    for family, draw in enumerate(draws):
+        batch = draw(np.random.default_rng(family), 300)
+        assert_residuals_agree(
+            batch, scalar_draw(check, family, np.random.default_rng(family), 300))
+
+
+# ---------------------------------------------------------------------------
+# the verify-maps report
+
+
+def families(check):
+    return next(len(draws) for name, *_, draws in VERIFY_CHECKS if name == check)
+
+
+@pytest.mark.parametrize("n", [1, VERIFY_CHUNK - 1, VERIFY_CHUNK,
+                               VERIFY_CHUNK + 1, 2 * VERIFY_CHUNK + 1])
+def test_verify_maps_chunk_boundaries(n):
+    report = verify_maps_report(n, 7, 1e-9)
+    rows = report["rows"]
+    assert [r["samples"] for r in rows] == [n] * 8 + [min(n, 100)] * 2
+    assert report["pass"] and all(r["pass"] for r in rows)
+    for r in rows:
+        assert 0 <= r["worstSample"] < r["samples"] * families(r["check"])
+    again = verify_maps_report(n, 7, 1e-9)
+    assert json.dumps(report) == json.dumps(again)
+
+
+def test_verify_maps_samples_limit():
+    assert MAX_SAMPLES == 10**6
+    with pytest.raises(ValueError, match="limit 1000000"):
+        verify_maps_report(MAX_SAMPLES + 1, 42, 1e-9)
+
+
+def test_verify_maps_worst_sample_and_nan(monkeypatch):
+    """The fold keeps the first worst draw, counted family by family across
+    chunks, and a NaN residual, once seen, is the worst."""
+    n = VERIFY_CHUNK + 500
+
+    def spike(value, at):
+        def draw(rng, m):
+            start = draw.seen
+            draw.seen += m
+            out = np.zeros(m)
+            for i in at:
+                if start <= i < start + m:
+                    out[i - start] = value
+            return out
+        draw.seen = 0
+        return draw
+
+    monkeypatch.setattr(projective_maps, "VERIFY_CHECKS", (
+        ("max", "r", None, None, [spike(0.5, [3]),
+                                  spike(0.75, [VERIFY_CHUNK + 7, n - 1])]),
+        ("nan", "r", None, None, [spike(0.75, [9]),
+                                  spike(np.nan, [VERIFY_CHUNK + 2, n - 1]),
+                                  spike(1.0, [0])]),
+        ("zero", "r", None, None, [spike(0.0, [])]),
+    ))
+    first, second, third = verify_maps_report(n, 0, 1.0)["rows"]
+    assert (first["maxResidual"], first["worstSample"]) == (0.75, n + VERIFY_CHUNK + 7)
+    assert first["pass"] is True
+    assert np.isnan(second["maxResidual"]) and second["pass"] is False
+    assert second["worstSample"] == n + VERIFY_CHUNK + 2
+    assert (third["maxResidual"], third["worstSample"]) == (0.0, 0)
