@@ -104,7 +104,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.as_json:
-        print(json.dumps(report, indent=2, allow_nan=False))
+        try:
+            text = json.dumps(report, indent=2, allow_nan=False)
+        except ValueError:
+            # only a failed check yields a non-finite value, such as a
+            # NaN residual, and strict JSON has no way to write it
+            print("error: the report holds a non-finite value; the check "
+                  "failed", file=sys.stderr)
+            return 1
+        print(text)
     else:
         print(reports.render_table(report))
     return 0 if report["pass"] else 1

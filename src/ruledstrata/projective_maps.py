@@ -353,14 +353,13 @@ def critical_values(m: RationalMapDeg2) -> BranchPoints:
     return BranchPoints((m(pts[0]), m(pts[1])), False)
 
 
-def critical_values_rows(num, den, tolerance: float = DEFAULT_TOL
-                         ) -> tuple[np.ndarray, np.ndarray]:
+def critical_values_rows(num, den) -> tuple[np.ndarray, np.ndarray]:
     """`critical_values` of the maps with coefficient rows `num` and `den`,
     two (n, 3) arrays: the branch-point pairs as (n, 2, 2) and the
     degenerate flags.
 
-    Any row that `RationalMapDeg2(num, den, tolerance)` would refuse, for a
-    shared root, raises.
+    Any row that `RationalMapDeg2(num, den)` would refuse, for a shared
+    root, raises.
     """
     num = np.asarray(num, dtype=complex)
     den = np.asarray(den, dtype=complex)
@@ -372,10 +371,10 @@ def critical_values_rows(num, den, tolerance: float = DEFAULT_TOL
     disc = _mul(w[:, 1], w[:, 1]) - _mul(4 * w[:, 0], w[:, 2])
     # disc is exactly 4x the resultant that RationalMapDeg2 checks
     size = (_row_max(_modulus(num)) * _row_max(_modulus(den))) ** 2
-    if not np.all(_modulus(disc) > 4 * tolerance * size):
+    if not np.all(_modulus(disc) > 4 * DEFAULT_TOL * size):
         raise ValueError("numerator and denominator share a root")
     scale = _row_max(_modulus(w))
-    degenerate = _modulus(disc) < max(tolerance, DEFAULT_TOL) * scale**2
+    degenerate = _modulus(disc) < DEFAULT_TOL * scale**2
     pts = _quadratic_roots_rows(w)
     pts[degenerate, 1] = pts[degenerate, 0]
     # numerator and denominator (axis 0) at both points (axis 1) at once,
@@ -580,10 +579,10 @@ def _norm_sq_rows(pts: np.ndarray) -> np.ndarray:
     return x**2 + y**2 + z**2
 
 
-def _require_unit_rows(pts, tol=1e-6) -> np.ndarray:
+def _require_unit_rows(pts) -> np.ndarray:
     """An (n, 3) array whose every row must be a unit vector."""
     pts = np.asarray(pts, dtype=complex)
-    if not np.all(np.abs(_norm_sq_rows(pts) - 1.0) <= tol):
+    if not np.all(np.abs(_norm_sq_rows(pts) - 1.0) <= 1e-6):
         raise ValueError("point must lie on the unit 5-sphere")
     return pts
 

@@ -4,10 +4,11 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ruledstrata import cli
+from ruledstrata import cli, projective_maps
 from ruledstrata.projective_maps import verify_maps_report
 from ruledstrata.reports import (
     UnsupportedLinkError,
@@ -181,6 +182,20 @@ class TestVerifyMaps:
         assert cli.main(["verify-maps", "--samples", "150"]) == 0
         header = capsys.readouterr().out.splitlines()[1].split()
         assert header[-1] == "worstSample"
+
+    def test_nan_residual_fails_cleanly(self, capsys, monkeypatch):
+        monkeypatch.setattr(projective_maps, "VERIFY_CHECKS", (
+            ("nan", "r", None, None,
+             [lambda rng, m: np.where(np.arange(m) == 2, np.nan, 0.0)]),))
+        assert cli.main(["verify-maps", "--samples", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[3].split() == [
+            "nan", "5", "nan", "1.000e-09", "False", "r", "2"]
+        assert cli.main(["verify-maps", "--samples", "5", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "non-finite" in captured.err
 
     def test_seeded_rerun_identical(self, capsys):
         argv = ["verify-maps", "--samples", "40", "--seed", "7", "--json"]

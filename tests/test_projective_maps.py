@@ -469,15 +469,18 @@ class TestBatchOracle:
 
     @staticmethod
     def near_confluent_maps(rng, n):
-        """Maps whose critical points sit about sqrt(eps) apart, eps from
-        1e-14 to 1e-6: (x0^2 - eps x1^2 : x0 x1) postcomposed with a random
-        fractional-linear map, which keeps the critical points."""
-        eps = 10.0 ** rng.uniform(-14, -6, n)
-        num = np.stack([np.ones(n), np.zeros(n), -eps], axis=1)
-        den = np.tile([0.0, 1.0, 0.0], (n, 1))
-        g = random_proj_rows(rng, n, 4)
-        return (g[:, :1] * num + g[:, 1:2] * den,
-                g[:, 2:3] * num + g[:, 3:4] * den)
+        """Maps next to a shared root, with discriminants on both sides of
+        the degenerate floor: (x0^2 + x0 x1 + c x1^2 : -x0^2 + x0 x1 + x1^2)
+        degenerates at c = sqrt(5) - 2, and moving c off it by 10^-9.62 to
+        10^-8.5, in a random direction, keeps the resultant above its floor.
+        Numerator and denominator get random complex factors."""
+        shift = 10.0 ** rng.uniform(-9.62, -8.5, n) * np.exp(
+            2j * np.pi * rng.uniform(size=n))
+        factor = 10.0 ** rng.uniform(-1, 1, (n, 2)) * np.exp(
+            2j * np.pi * rng.uniform(size=(n, 2)))
+        num = np.stack([np.ones(n), np.ones(n), np.sqrt(5) - 2 + shift], axis=1)
+        den = np.tile([-1.0, 1.0, 1.0], (n, 1))
+        return factor[:, :1] * num, factor[:, 1:] * den
 
     def test_critical_values(self):
         rng = RNG()
@@ -488,10 +491,10 @@ class TestBatchOracle:
         general = (random_proj_rows(rng, self.N, 3),
                    random_proj_rows(rng, self.N, 3))
         flags = []
-        for (num, den), tol in ((round_trip, 1e-9), (general, 1e-9),
-                                (self.near_confluent_maps(rng, self.N), 1e-30)):
-            values, degenerate = critical_values_rows(num, den, tol)
-            scalar = [critical_values(RationalMapDeg2(tuple(a), tuple(b), tol))
+        for num, den in (round_trip, general,
+                         self.near_confluent_maps(rng, self.N)):
+            values, degenerate = critical_values_rows(num, den)
+            scalar = [critical_values(RationalMapDeg2(tuple(a), tuple(b)))
                       for a, b in zip(num, den)]
             assert degenerate.tolist() == [s.degenerate for s in scalar]
             for i in (0, 1):
@@ -502,14 +505,15 @@ class TestBatchOracle:
 
     def test_critical_values_shared_root_rejected(self):
         num = random_proj_rows(RNG(), 3, 3)
-        for bad_num, bad_den, tol in (([1, 0, 0], [1, 0, 0], 1e-9),
-                                      ([1, 0, -1e-13], [0, 1, 0], 1e-9),
-                                      ([0, 0, 0], [0, 1, 0], 1e-30)):
+        for bad_num, bad_den in (([1, 0, 0], [1, 0, 0]),
+                                 ([1, 0, -1e-13], [0, 1, 0]),
+                                 ([0, 0, 0], [0, 1, 0]),
+                                 ([1, 1, np.sqrt(5) - 2 + 1e-10], [-1, 1, 1])):
             with pytest.raises(ValueError):
-                RationalMapDeg2(bad_num, bad_den, tol)
+                RationalMapDeg2(bad_num, bad_den)
             with pytest.raises(ValueError, match="share a root"):
                 critical_values_rows(np.vstack([num, bad_num]),
-                                     np.vstack([num[::-1], bad_den]), tol)
+                                     np.vstack([num[::-1], bad_den]))
 
     def test_phi30_counts(self):
         rng = RNG()
