@@ -12,6 +12,7 @@ exactly on an integer boundary, so no floating point is used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -190,13 +191,24 @@ def admissible_strata(form: SymplecticForm) -> list[int]:
     product surface it equals {0, ..., l} where l - 1 < lambda <= l.  On the
     blow-up the indices start at k = 1.
     """
-    start = 0 if form.surface is TRIVIAL else 1
     out = []
-    k = start
+    k = _first_stratum(form.surface)
     while area(form, stratum_curve_class(form.surface, k)) > 0:
         out.append(k)
         k += 1
     return out
+
+
+def admissible_count(form: SymplecticForm) -> int:
+    """`len(admissible_strata(form))`, exact and without building the list.
+
+    Stratum k has area 1 + lambda - k on both surfaces.
+    """
+    return math.ceil(1 + form.lam) - _first_stratum(form.surface)
+
+
+def _first_stratum(surface: RuledSurface) -> int:
+    return 0 if surface is TRIVIAL else 1
 
 
 def chern_pairing(c: H2Class) -> int:

@@ -569,7 +569,7 @@ def _count_h(target, cluster_tol) -> PreimageCount:
 def _require_unit(xyz, tol=1e-6):
     x, y, z = (complex(c) for c in xyz)
     norm_sq = abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2
-    if abs(norm_sq - 1.0) > tol:
+    if not abs(norm_sq - 1.0) <= tol:  # refuses a NaN norm too
         raise ValueError("point must lie on the unit 5-sphere")
     return x, y, z
 

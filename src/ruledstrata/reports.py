@@ -31,10 +31,17 @@ def _frac(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # strata
 
+#: The most rows `strata_report` builds (about 4 s of work); a lambda that
+#: gives more raises.
+MAX_STRATA_ROWS = 10**5
+
 
 def strata_report(lam: Fraction, surface: RuledSurface) -> dict:
     """Admissible strata with areas, codimensions and next-link dimensions."""
     form = SymplecticForm(surface, lam)
+    if homology.admissible_count(form) > MAX_STRATA_ROWS:
+        raise ValueError("the number of strata for this lambda is above "
+                         f"the limit {MAX_STRATA_ROWS}")
     rows = []
     for k in homology.admissible_strata(form):
         cls = homology.stratum_curve_class(surface, k)
@@ -155,6 +162,8 @@ def plumb_report(chain: list[int]) -> dict:
 
 
 def decompositions_report(n: int, depth: int | None, pointed: bool) -> dict:
+    if n < 0:
+        raise ValueError(f"total fiber degree must be >= 0, got {n}")
     descriptors = stable_trees.enumerate_strata(n, depth, pointed=pointed)
     return {
         "subcommand": "decompositions",

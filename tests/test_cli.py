@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ruledstrata import cli, projective_maps
+from ruledstrata import cli, projective_maps, reports
 from ruledstrata.projective_maps import verify_maps_report
 from ruledstrata.reports import (
     UnsupportedLinkError,
@@ -65,12 +65,29 @@ class TestStrata:
                       "--json"],
                      ["strata", "--lambda", "-1/2"],
                      ["strata", "--lambda", "-1/2", "--json"],
-                     ["strata", "--lambda", "2", "--lambda", "-1/2"]):
+                     ["strata", "--lambda", "2", "--lambda", "-1/2"],
+                     ["strata", "--lambda", "1e400"],
+                     ["strata", "--lambda", "1e400", "--surface", "nontrivial",
+                      "--json"]):
             assert cli.main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error:")
             assert "Traceback" not in captured.err
+
+    def test_row_limit_boundary(self, capsys, monkeypatch):
+        # the row count is exact before any row is built: with a limit of 3
+        # rows, lambda = 2 (k = 0, 1, 2) and lambda = 3 on the blow-up
+        # (k = 1, 2, 3) are accepted, and 1/7 more is refused
+        monkeypatch.setattr(reports, "MAX_STRATA_ROWS", 3)
+        for lam, more, surface in (("2", "15/7", "trivial"),
+                                   ("3", "22/7", "nontrivial")):
+            code, report = run_json(
+                capsys, ["strata", "--lambda", lam, "--surface", surface])
+            assert code == 0 and len(report["rows"]) == 3
+            assert cli.main(["strata", "--lambda", more,
+                             "--surface", surface]) == 2
+            assert "above the limit" in capsys.readouterr().err
 
 
 class TestLinks:
@@ -212,6 +229,14 @@ class TestDecompositions:
         assert code == 0
         for row in report["rows"]:
             assert set(row) == {"parts", "shape", "dim", "isotropy"}
+
+    def test_negative_degree_refused(self, capsys):
+        assert cli.main(["decompositions", "--n", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        code, report = run_json(capsys, ["decompositions", "--n", "0"])
+        assert code == 0 and report["rows"] == []
 
     def test_pointed_flag(self, capsys):
         code, report = run_json(

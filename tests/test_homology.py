@@ -9,6 +9,7 @@ from ruledstrata.homology import (
     NONTRIVIAL,
     TRIVIAL,
     SymplecticForm,
+    admissible_count,
     admissible_strata,
     area,
     chern_pairing,
@@ -107,6 +108,16 @@ def test_admissible_matches_positivity_oracle():
 def test_admissible_nontrivial():
     assert admissible_strata(SymplecticForm(NONTRIVIAL, 2)) == [1, 2]
     assert admissible_strata(SymplecticForm(NONTRIVIAL, Fraction(1, 2))) == [1]
+
+
+def test_admissible_count_matches_list():
+    for surface in (TRIVIAL, NONTRIVIAL):
+        for num in range(1, 41):
+            for den in (1, 2, 3, 7):
+                form = SymplecticForm(surface, Fraction(num, den))
+                assert admissible_count(form) == len(admissible_strata(form))
+    assert admissible_count(SymplecticForm(TRIVIAL, 0)) == 1
+    assert admissible_count(SymplecticForm(TRIVIAL, Fraction(10**400))) == 10**400 + 1
 
 
 def test_chern_pairing():

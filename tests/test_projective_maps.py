@@ -279,6 +279,17 @@ class TestWeightedAction:
         with pytest.raises(ValueError):
             weighted_circle_orbit(1.0, (1, 1, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0, np.nan), complex(np.inf, 0)])
+    def test_non_finite_point_refused(self, bad):
+        # a NaN norm is no closer to 1 than the tolerance; the scalar maps
+        # refuse it as their batch forms do
+        for f in (lambda p: weighted_circle_orbit(1.0, p), s5_identification,
+                  orbit_space_map):
+            for p in ((bad, 0, 0), (0.6, 0.8, bad)):
+                with pytest.raises(ValueError, match="unit 5-sphere"):
+                    f(p)
+
 
 class TestSphereIdentification:
     def test_norm_preserved(self):
