@@ -2,15 +2,14 @@
 
 Bundles are expressions, not geometric objects, known by integer Chern
 data.  Every computation feeding the link pipelines reduces to Euler and
-Chern numbers, so isomorphism testing is integer comparison.  Orbifold
-data is limited to isolated cyclic points, the only case that occurs.
+Chern numbers, so isomorphism testing is integer comparison.  The weighted
+orbifold circle bundle over the double-cover stratum has no record here:
+the link pipeline enters it as the twist of `plumbing.plumb_with_ly`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,6 @@ class Rank2BundleExpr:
     def normal_form(self) -> int:
         return self.degrees[0] + self.degrees[1]
 
-    def isomorphic(self, other: "Rank2BundleExpr") -> bool:
-        return self.normal_form == other.normal_form
-
     def twisted(self, d0: int, d1: int) -> "Rank2BundleExpr":
         """Tensor the factors with line bundles of degrees d0 and d1."""
         return Rank2BundleExpr((self.degrees[0] + d0, self.degrees[1] + d1))
@@ -93,48 +89,3 @@ def v2_bundle() -> Rank2BundleExpr:
     fixed fiber.
     """
     return Rank2BundleExpr((gluing_bundle(1).degree, 0))
-
-
-@dataclass(frozen=True)
-class OrbifoldPoint:
-    order: int
-    # local weights of the cyclic action on (base chart) x (fiber)
-    local_weights: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class OrbiLineBundle:
-    """A line bundle with isolated cyclic orbifold points.
-
-    The one instance used is the bundle of gluing parameters over the
-    moduli space of two-pointed degree-2 self-maps of the sphere: a single
-    order-2 point where the local action is (x, y) x v -> (-x, -y) x (-v),
-    and whose unit circle bundle is the 5-sphere carrying the weighted
-    circle action with weights (1, 1, 2).
-    """
-
-    base: str
-    orbifold_points: tuple[OrbifoldPoint, ...]
-    total_space: str
-    action_weights: tuple[int, ...]
-
-    def fiber_period_ratio(self, support_weights) -> Fraction:
-        """Orbit period through a point, as a fraction of the generic 2*pi.
-
-        `support_weights` are the action weights of the coordinates that are
-        nonzero at the point; the period divides by their gcd.
-        """
-        ws = [int(w) for w in support_weights]
-        if not ws:
-            raise ValueError("point must have nonzero coordinates")
-        return Fraction(1, math.gcd(*ws))
-
-
-def ly_bundle() -> OrbiLineBundle:
-    """The orbifold gluing-parameter bundle over the double-cover stratum."""
-    return OrbiLineBundle(
-        base="Y",
-        orbifold_points=(OrbifoldPoint(order=2, local_weights=(1, 1, 1)),),
-        total_space="S5",
-        action_weights=(1, 1, 2),
-    )

@@ -77,9 +77,14 @@ def run(args) -> dict:
     if args.subcommand == "verify-maps":
         # the checks make no threaded BLAS call, but OpenBLAS starts a worker
         # per core when numpy loads and it spins: one thread cuts a 5000-sample
-        # run from 0.52 to 0.40 s of CPU at the same wall time (2-vCPU VM)
+        # run from 0.52 to 0.40 s of CPU at the same wall time (2-vCPU VM).
+        # OpenBLAS reads the variable only as it loads, so it is unset again
+        # and an in-process caller's later children inherit no setting.
+        user_set = "OPENBLAS_NUM_THREADS" in os.environ
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         from .projective_maps import verify_maps_report
+        if not user_set:
+            del os.environ["OPENBLAS_NUM_THREADS"]
         return verify_maps_report(args.samples, args.seed, args.tol)
     if args.subcommand == "decompositions":
         depth = None if args.depth < 0 else args.depth

@@ -5,24 +5,19 @@ Everything here is double-precision complex arithmetic with projective,
 scale-invariant comparisons: two homogeneous tuples agree when all their
 2x2 minors vanish once each tuple is divided by its largest modulus, and a
 point satisfies a homogeneous equation when the equation is small at the
-point so divided.  Comparisons use `DEFAULT_TOL` unless `close_to` is
-given a tolerance.  Random sampling takes an explicit generator so runs are
+point so divided.  Random sampling takes an explicit generator so runs are
 reproducible per seed.
 
-Each model exists twice: a scalar form on one point (`eval_h`,
-`proj_residual`, `critical_values`, `count_preimages`, ...) and a batch
-form on the rows of an (n, k) complex array, named with a `_rows` suffix.
-The report builder at the end, `verify_maps_report` with its
-`VERIFY_CHECKS` table, runs the batch forms only; the scalar forms are
-the reference the tests hold the batch forms to.
+Each model has one form here, on the rows of an (n, k) complex array,
+named with a `_rows` suffix; `verify_maps_report` with its `VERIFY_CHECKS`
+table runs them.  The scalar form of each model, on one point and named
+without the suffix (`eval_h`, `proj_residual`, `critical_values`, ...),
+is the reference in the test suite's `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -31,64 +26,11 @@ CLUSTER_TOL = 1e-6
 GENERIC_MARGIN = 1e-3
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """Homogeneous coordinates with tolerance-based projective equality."""
-
-    coords: tuple[complex, ...]
-
-    def __post_init__(self):
-        coords = tuple(complex(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        if not (any(coords) and all(map(cmath.isfinite, coords))):
-            raise ValueError("projective point needs finite coordinates, "
-                             "not all zero")
-
-    @classmethod
-    def of(cls, pt) -> "ProjPoint":
-        if isinstance(pt, ProjPoint):
-            return pt
-        return cls(tuple(pt))
-
-    @property
-    def scale(self) -> float:
-        return max(abs(c) for c in self.coords)
-
-    def normalized(self) -> "ProjPoint":
-        s = self.scale
-        return ProjPoint(tuple(c / s for c in self.coords))
-
-    def close_to(self, other, tol: float = DEFAULT_TOL) -> bool:
-        return proj_residual(self, other) < tol
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __repr__(self):
-        inner = ":".join(f"{c:.6g}" for c in self.coords)
-        return f"[{inner}]"
-
-
-def proj_residual(x, y) -> float:
-    """Largest 2x2 minor of two coordinate rows (points or sequences),
-    each divided by its largest modulus first, so no product overflows;
-    symmetric in its arguments."""
-    x = ProjPoint.of(x).normalized().coords
-    y = ProjPoint.of(y).normalized().coords
-    if len(x) != len(y):
-        raise ValueError("length mismatch")
-    worst = 0.0
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            worst = max(worst, abs(x[i] * y[j] - x[j] * y[i]))
-    return worst
-
-
-# The batch forms round as the scalar forms do, so the tests can hold them
-# to the scalar forms within 1e-15.  Two numpy operations round otherwise,
-# so in the batch forms every complex product goes through `_mul` (numpy
-# may fuse its multiply-adds) and every modulus through `_modulus` (numpy's
-# complex abs may differ from Python's, which is hypot, in the last bit).
+# The batch forms round as the scalar references do, so the tests can hold
+# them to those within 1e-15.  Two numpy operations round otherwise, so
+# every complex product goes through `_mul` (numpy may fuse its
+# multiply-adds) and every modulus through `_modulus` (numpy's complex abs
+# may differ from Python's, which is hypot, in the last bit).
 
 
 def _mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -150,18 +92,6 @@ def proj_residual_rows(x, y) -> np.ndarray:
 # the product-to-plane quotient map and the quadric
 
 
-def eval_h(p, q) -> ProjPoint:
-    """Quotient of the product of two spheres by the factor swap.
-
-    ([x0:x1],[y0:y1]) -> [x0 y0 : x1 y1 : x0 y1 + x1 y0 - x0 y0 - x1 y1];
-    symmetric in the two arguments, and the diagonal lands on the quadric
-    tested by `quadric_q`.
-    """
-    x0, x1 = ProjPoint.of(p).coords
-    y0, y1 = ProjPoint.of(q).coords
-    return ProjPoint((x0 * y0, x1 * y1, x0 * y1 + x1 * y0 - x0 * y0 - x1 * y1))
-
-
 def eval_h_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """`eval_h` of each pair of rows of two (n, 2) arrays."""
     # xy[i, j] = x_i y_j; the sample axis last keeps numpy's loops long
@@ -169,26 +99,10 @@ def eval_h_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.stack([x0y0, x1y1, x0y1 + x1y0 - x0y0 - x1y1], axis=1)
 
 
-def quadric_residual(pt) -> float:
-    u, v, w = ProjPoint.of(pt).normalized().coords
-    return abs((u + v + w) ** 2 - 4 * u * v)
-
-
 def quadric_residual_rows(pts) -> np.ndarray:
     """`quadric_residual` of each row of an (n, 3) array."""
     u, v, w = _unit_rows(pts).T
     return _modulus(_mul(u + v + w, u + v + w) - _mul(4 * u, v))
-
-
-def quadric_q(pt) -> bool:
-    """Whether (u+v+w)^2 = 4uv holds, relative to scale squared."""
-    return quadric_residual(pt) < DEFAULT_TOL
-
-
-def tau(pt) -> ProjPoint:
-    """The involution [x:y:z] -> [x:y:-z]."""
-    x, y, z = ProjPoint.of(pt).coords
-    return ProjPoint((x, y, -z))
 
 
 def tau_rows(pts: np.ndarray) -> np.ndarray:
@@ -198,31 +112,14 @@ def tau_rows(pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_phi30(pt) -> ProjPoint:
-    """Coordinate squares [x:y:z] -> [x^2:y^2:z^2], a 4-fold cover."""
-    x, y, z = ProjPoint.of(pt).coords
-    return ProjPoint((x * x, y * y, z * z))
-
-
 def eval_phi30_rows(pts: np.ndarray) -> np.ndarray:
     """`eval_phi30` of each row of an (n, 3) array."""
     return _mul(pts, pts)
 
 
-def eval_phi32(pt) -> ProjPoint:
-    """[x:y:z] -> [x^2:y^2:z^2:xy], the quotient by `tau` onto the cone."""
-    x, y, z = ProjPoint.of(pt).coords
-    return ProjPoint((x * x, y * y, z * z, x * y))
-
-
 def eval_phi32_rows(pts: np.ndarray) -> np.ndarray:
     """`eval_phi32` of each row of an (n, 3) array."""
     return _mul(pts[:, [0, 1, 2, 0]], pts[:, [0, 1, 2, 1]])
-
-
-def y_residual(pt) -> float:
-    u, v, w, t = ProjPoint.of(pt).normalized().coords
-    return abs(t * t - u * v)
 
 
 def y_residual_rows(pts) -> np.ndarray:
@@ -231,77 +128,8 @@ def y_residual_rows(pts) -> np.ndarray:
     return _modulus(_mul(t, t) - _mul(u, v))
 
 
-def on_y(pt) -> bool:
-    """Whether the quadric cone equation t^2 = uv holds."""
-    return y_residual(pt) < DEFAULT_TOL
-
-
-#: The one point of the cone fixed by a reparametrization of its stable map.
-SINGULAR_CONE_POINT = ProjPoint((0, 0, 1, 0))
-
-
 # ---------------------------------------------------------------------------
 # degree-2 self-maps of the sphere
-
-
-@dataclass(frozen=True)
-class RationalMapDeg2:
-    """Degree-2 self-map of the sphere as a homogeneous pair.
-
-    Coefficient triples (a, b, c) encode a x0^2 + b x0 x1 + c x1^2.  The
-    numerator and denominator may not share a projective root, which is a
-    nonvanishing resultant.
-    """
-
-    numerator: tuple[complex, complex, complex]
-    denominator: tuple[complex, complex, complex]
-    tolerance: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        num = tuple(complex(c) for c in self.numerator)
-        den = tuple(complex(c) for c in self.denominator)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
-        a, b, c = num
-        d, e, f = den
-        res = (a * f - c * d) ** 2 - (a * e - b * d) * (b * f - c * e)
-        scale = (max(abs(a), abs(b), abs(c)) * max(abs(d), abs(e), abs(f))) ** 2
-        if scale == 0 or abs(res) <= self.tolerance * scale:
-            raise ValueError("numerator and denominator share a root")
-
-    def __call__(self, pt) -> ProjPoint:
-        x0, x1 = ProjPoint.of(pt).coords
-        a, b, c = self.numerator
-        d, e, f = self.denominator
-        return ProjPoint((a * x0 * x0 + b * x0 * x1 + c * x1 * x1,
-                          d * x0 * x0 + e * x0 * x1 + f * x1 * x1))
-
-
-def squaring_map() -> RationalMapDeg2:
-    """The normal form z -> z^2 in the [z:1] chart."""
-    return RationalMapDeg2((1, 0, 0), (0, 0, 1))
-
-
-class BranchPoints(NamedTuple):
-    values: tuple[ProjPoint, ProjPoint]
-    degenerate: bool
-
-
-def _homogeneous_quadratic_roots(coeffs) -> list[ProjPoint]:
-    """Projective roots of A x0^2 + B x0 x1 + C x1^2, with multiplicity."""
-    arr = np.asarray(coeffs, dtype=complex)
-    scale = float(_modulus(arr).max())
-    if scale == 0.0:
-        raise ValueError("zero polynomial")
-    trimmed = arr / scale
-    roots: list[ProjPoint] = []
-    lead = 0
-    while lead < 2 and abs(trimmed[lead]) < 1e-14:
-        roots.append(ProjPoint((1, 0)))
-        lead += 1
-    for r in np.roots(trimmed[lead:]):
-        roots.append(ProjPoint((complex(r), 1)))
-    return roots
 
 
 def _quadratic_roots_rows(w: np.ndarray) -> np.ndarray:
@@ -329,37 +157,13 @@ def _quadratic_roots_rows(w: np.ndarray) -> np.ndarray:
     return roots
 
 
-def critical_values(m: RationalMapDeg2) -> BranchPoints:
-    """The two branch points of a degree-2 self-map.
-
-    The critical points are the roots of the Jacobian determinant of the
-    homogeneous pair, itself a quadratic; the branch points are their
-    images.  Confluent roots within tolerance are flagged as degenerate and
-    returned as an equal pair rather than resolved.
-    """
-    a, b, c = m.numerator
-    d, e, f = m.denominator
-    # det of the Jacobian, divided by 2
-    w = (a * e - b * d, 2 * (a * f - c * d), b * f - c * e)
-    scale = max(abs(t) for t in w)
-    disc = w[1] ** 2 - 4 * w[0] * w[2]
-    # the discriminant is 4x the resultant, so confluence only happens for
-    # maps validated with a loosened tolerance; keep a fixed floor here
-    degenerate = abs(disc) < max(m.tolerance, DEFAULT_TOL) * scale**2
-    pts = _homogeneous_quadratic_roots(w)
-    if degenerate:
-        value = m(pts[0])
-        return BranchPoints((value, value), True)
-    return BranchPoints((m(pts[0]), m(pts[1])), False)
-
-
 def critical_values_rows(num, den) -> tuple[np.ndarray, np.ndarray]:
     """`critical_values` of the maps with coefficient rows `num` and `den`,
     two (n, 3) arrays: the branch-point pairs as (n, 2, 2) and the
     degenerate flags.
 
-    Any row that `RationalMapDeg2(num, den)` would refuse, for a shared
-    root, raises.
+    A row whose numerator and denominator share a root (a resultant at
+    most `DEFAULT_TOL` times the squared coefficient scale) raises.
     """
     num = np.asarray(num, dtype=complex)
     den = np.asarray(den, dtype=complex)
@@ -369,7 +173,7 @@ def critical_values_rows(num, den) -> tuple[np.ndarray, np.ndarray]:
                                   np.stack([e, d, f, d, f, e]))
     w = np.stack([ae - bd, 2 * (af - cd), bf - ce], axis=1)
     disc = _mul(w[:, 1], w[:, 1]) - _mul(4 * w[:, 0], w[:, 2])
-    # disc is exactly 4x the resultant that RationalMapDeg2 checks
+    # disc is exactly 4x the resultant
     size = (_row_max(_modulus(num)) * _row_max(_modulus(den))) ** 2
     if not np.all(_modulus(disc) > 4 * DEFAULT_TOL * size):
         raise ValueError("numerator and denominator share a root")
@@ -384,46 +188,6 @@ def critical_values_rows(num, den) -> tuple[np.ndarray, np.ndarray]:
     m = _mul
     values = m(m(a, x0), x0) + m(m(b, x0), x1) + m(m(c, x1), x1)
     return values.transpose(2, 1, 0), degenerate
-
-
-def map_from_critical_values(x, y) -> RationalMapDeg2:
-    """A degree-2 self-map with branch points exactly {x, y}.
-
-    Conjugates the squaring normal form by the fractional-linear map sending
-    0 and infinity to x and y; only the unordered branch pair is contracted,
-    different conjugating choices differ by precomposition.
-    """
-    x = ProjPoint.of(x)
-    y = ProjPoint.of(y)
-    if x.close_to(y):
-        raise ValueError("branch points must be distinct")
-    x0, x1 = x.coords
-    y0, y1 = y.coords
-    return RationalMapDeg2((y0, 0, x0), (y1, 0, x1))
-
-
-def apply_mobius(g, pt) -> ProjPoint:
-    """Apply a 2x2 invertible complex matrix as a fractional-linear map."""
-    p0, p1 = ProjPoint.of(pt).coords
-    return ProjPoint((g[0][0] * p0 + g[0][1] * p1,
-                      g[1][0] * p0 + g[1][1] * p1))
-
-
-def compose_mobius(g, m: RationalMapDeg2) -> RationalMapDeg2:
-    """Postcompose a degree-2 map with a fractional-linear map."""
-    n, d = m.numerator, m.denominator
-    num = tuple(g[0][0] * n[i] + g[0][1] * d[i] for i in range(3))
-    den = tuple(g[1][0] * n[i] + g[1][1] * d[i] for i in range(3))
-    return RationalMapDeg2(num, den, m.tolerance)
-
-
-def unordered_pair_residual(pair_a, pair_b) -> float:
-    """Projective mismatch of two unordered point pairs (best matching)."""
-    a0, a1 = pair_a
-    b0, b1 = pair_b
-    straight = max(proj_residual(a0, b0), proj_residual(a1, b1))
-    crossed = max(proj_residual(a0, b1), proj_residual(a1, b0))
-    return min(straight, crossed)
 
 
 def unordered_pair_residual_rows(pairs_a: np.ndarray, pairs_b: np.ndarray
@@ -441,74 +205,20 @@ def unordered_pair_residual_rows(pairs_a: np.ndarray, pairs_b: np.ndarray
 # preimage counting
 
 
-class PreimageCount(NamedTuple):
-    count: int
-    generic: bool
-
-
-def _cluster_count(points: Iterable[ProjPoint], tol: float) -> int:
-    reps: list[ProjPoint] = []
-    for p in points:
-        if all(proj_residual(p, r) >= tol for r in reps):
-            reps.append(p)
-    return len(reps)
-
-
-def count_preimages(f, target, cluster_tol: float = CLUSTER_TOL) -> PreimageCount:
-    """Number of distinct projective preimages of `target` under `f`.
-
-    `f` is one of `eval_phi30`, `eval_phi32`, `eval_h`.  The induced
-    univariate problems are solved in an affine chart pivoting on the
-    largest target coordinate, candidates are verified against the target
-    and clustered at `cluster_tol`.  Targets within the generic margin of
-    the branch locus get the honest smaller count with generic = False.
-    """
-    target = ProjPoint.of(target).normalized()
-    # built per call, so a map name rebound in this module (by a wrapper,
-    # say) still dispatches
-    counter = {eval_phi30: _count_phi30, eval_phi32: _count_phi32,
-               eval_h: _count_h}.get(f)
-    if counter is None:
-        raise ValueError("unsupported map for preimage counting")
-    return counter(target, cluster_tol)
-
-
-def _verified_cluster(f, candidates, target, cluster_tol):
-    good = [c for c in candidates
-            if proj_residual(f(c), target) < 1e3 * DEFAULT_TOL]
-    return _cluster_count(good, cluster_tol)
-
-
-def _generic(pt: ProjPoint) -> bool:
-    """Whether every coordinate stays outside the generic margin of zero."""
-    return min(abs(c) for c in pt.coords) >= GENERIC_MARGIN * pt.scale
-
-
 def _generic_rows(pts: np.ndarray) -> np.ndarray:
-    """`_generic` of each row of an (n, k) array."""
+    """Whether each row keeps all coordinates outside the generic margin."""
     size = _modulus(pts)
     return size.min(axis=1) >= GENERIC_MARGIN * _row_max(size)
 
 
 #: The sign patterns (1, s1, s2) of the phi30 preimage candidates, in the
-#: order `_count_phi30` tries them.
+#: order the scalar `count_phi30` tries them.
 _PHI30_SIGNS = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
 
 
-def _count_phi30(target, cluster_tol) -> PreimageCount:
-    u, v, w = target.coords
-    ru, rv, rw = np.sqrt(complex(u)), np.sqrt(complex(v)), np.sqrt(complex(w))
-    candidates = []
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            candidates.append(ProjPoint((ru, s1 * rv, s2 * rw)))
-    count = _verified_cluster(eval_phi30, candidates, target, cluster_tol)
-    return PreimageCount(count, _generic(target))
-
-
 def count_phi30_rows(targets) -> tuple[np.ndarray, np.ndarray]:
-    """`count_preimages(eval_phi30, t)` for each row t of an (n, 3) array:
-    the counts and the generic flags.
+    """`count_phi30` of each row of an (n, 3) array: the number of distinct
+    preimages under `eval_phi30_rows` and the generic flags.
 
     The four square-root candidates of each target are verified against it
     and clustered greedily in the scalar order, all rows at once.
@@ -529,49 +239,8 @@ def count_phi30_rows(targets) -> tuple[np.ndarray, np.ndarray]:
     return reps.sum(axis=1), _generic_rows(target)
 
 
-def _count_phi32(target, cluster_tol) -> PreimageCount:
-    u, v, w, t = target.coords
-    if abs(u) >= abs(v) and abs(u) > GENERIC_MARGIN**2:
-        x = np.sqrt(complex(u))
-        y = t / x
-    elif abs(v) > GENERIC_MARGIN**2:
-        y = np.sqrt(complex(v))
-        x = t / y
-    else:
-        x, y = 0.0, 0.0
-    rw = np.sqrt(complex(w))
-    candidates = []
-    for s in (1, -1):
-        try:
-            candidates.append(ProjPoint((x, y, s * rw)))
-        except ValueError:
-            pass  # zero tuple: no candidate from this sign
-    count = _verified_cluster(eval_phi32, candidates, target, cluster_tol)
-    generic = (min(abs(u), abs(v)) >= GENERIC_MARGIN * target.scale
-               and abs(w) >= GENERIC_MARGIN * target.scale)
-    return PreimageCount(count, generic)
-
-
-def _count_h(target, cluster_tol) -> PreimageCount:
-    u, v, w = target.coords
-    # the unordered pair {x, y} solves v T^2 - (u+v+w) T + u = 0
-    roots = _homogeneous_quadratic_roots((v, -(u + v + w), u))
-    # eval_h is exactly symmetric, so one ordering of the pair verifies both
-    verified = proj_residual(eval_h(*roots), target) < 1e3 * DEFAULT_TOL
-    count = _cluster_count(roots, cluster_tol) if verified else 0
-    return PreimageCount(count, quadric_residual(target) >= GENERIC_MARGIN)
-
-
 # ---------------------------------------------------------------------------
 # the weighted circle action on the 5-sphere
-
-
-def _require_unit(xyz, tol=1e-6):
-    x, y, z = (complex(c) for c in xyz)
-    norm_sq = abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2
-    if not abs(norm_sq - 1.0) <= tol:  # refuses a NaN norm too
-        raise ValueError("point must lie on the unit 5-sphere")
-    return x, y, z
 
 
 def _norm_sq_rows(pts: np.ndarray) -> np.ndarray:
@@ -587,13 +256,6 @@ def _require_unit_rows(pts) -> np.ndarray:
     return pts
 
 
-def weighted_circle_orbit(theta: float, p) -> tuple[complex, complex, complex]:
-    """Weight (1, 1, 2) circle action on the unit sphere in C^3."""
-    x, y, z = _require_unit(p)
-    rot = np.exp(1j * theta)
-    return (rot * x, rot * y, rot * rot * z)
-
-
 def weighted_circle_orbit_rows(theta: np.ndarray, pts) -> np.ndarray:
     """`weighted_circle_orbit` of each angle and row of an (n, 3) array."""
     pts = _require_unit_rows(pts)
@@ -601,32 +263,11 @@ def weighted_circle_orbit_rows(theta: np.ndarray, pts) -> np.ndarray:
     return _mul(np.stack([rot, rot, _mul(rot, rot)], axis=1), pts)
 
 
-def s5_identification(p) -> tuple[complex, complex, complex]:
-    """Identify the quotient of the 5-sphere by z -> -z with the 5-sphere.
-
-    (x, y, z) -> (x sqrt(1+|z|^2), y sqrt(1+|z|^2), z^2); unit norm is
-    preserved and the two lifts of a point give the same value.
-    """
-    x, y, z = _require_unit(p)
-    stretch = np.sqrt(1.0 + abs(z) ** 2)
-    return (x * stretch, y * stretch, z * z)
-
-
 def s5_identification_rows(pts) -> np.ndarray:
     """`s5_identification` of each row of an (n, 3) array."""
     x, y, z = _require_unit_rows(pts).T
     stretch = np.sqrt(1.0 + _modulus(z) ** 2)
     return _mul(np.stack([x, y, z], axis=1), np.stack([stretch, stretch, z], axis=1))
-
-
-def orbit_space_map(p) -> ProjPoint:
-    """Quotient of the weighted circle action, landing on the quadric cone.
-
-    (x, y, z) -> [x^2 : y^2 : z : xy]; constant along orbits and the image
-    satisfies t^2 = uv identically.
-    """
-    x, y, z = _require_unit(p)
-    return ProjPoint((x * x, y * y, z, x * y))
 
 
 def orbit_space_map_rows(pts) -> np.ndarray:
@@ -639,9 +280,6 @@ def orbit_space_map_rows(pts) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # seeded samplers
-#
-# Each sampler draws a batch of n rows; the one-point samplers draw a batch
-# of one, which takes the same values from the generator.
 
 
 def random_proj_rows(rng, n: int, k: int) -> np.ndarray:
@@ -651,19 +289,10 @@ def random_proj_rows(rng, n: int, k: int) -> np.ndarray:
     return rng.standard_normal((n, 2 * k)).view(complex)
 
 
-def random_proj_point(rng, n: int) -> ProjPoint:
-    return ProjPoint(tuple(random_proj_rows(rng, 1, n)[0]))
-
-
 def random_unit_sphere_rows(rng, n: int) -> np.ndarray:
     """n random points of the unit sphere in C^3 as (n, 3) rows."""
     v = rng.standard_normal((n, 6)).view(complex)
     return v / np.sqrt(_norm_sq_rows(v))[:, None]
-
-
-def random_unit_sphere_point(rng) -> tuple[complex, complex, complex]:
-    x, y, z = random_unit_sphere_rows(rng, 1)[0]
-    return (complex(x), complex(y), complex(z))
 
 
 def _draw_until(rng, n: int, draw, keep) -> np.ndarray:
@@ -684,19 +313,11 @@ def random_generic_square_rows(rng, n: int) -> np.ndarray:
                        _generic_rows)
 
 
-def random_generic_square_target(rng) -> ProjPoint:
-    return ProjPoint(tuple(random_generic_square_rows(rng, 1)[0]))
-
-
 def random_line_target_rows(rng, n: int, i: int) -> np.ndarray:
     """n generic points of the i-th coordinate line in the plane."""
     pts = _draw_until(rng, n, lambda rng, m: random_proj_rows(rng, m, 2),
                       _generic_rows)
     return np.insert(pts, i, 0, axis=1)
-
-
-def random_line_target(rng, i: int) -> ProjPoint:
-    return ProjPoint(tuple(random_line_target_rows(rng, 1, i)[0]))
 
 
 def random_cover_line_rows(rng, n: int, s1: int, s2: int) -> np.ndarray:
@@ -705,10 +326,6 @@ def random_cover_line_rows(rng, n: int, s1: int, s2: int) -> np.ndarray:
         y, z = random_proj_rows(rng, m, 2).T
         return np.stack([-(s1 * y + s2 * 1j * z), y, z], axis=1)
     return _draw_until(rng, n, draw, lambda rows: _row_max(_modulus(rows)) > 0)
-
-
-def random_point_on_cover_line(rng, s1: int, s2: int) -> ProjPoint:
-    return ProjPoint(tuple(random_cover_line_rows(rng, 1, s1, s2)[0]))
 
 
 def random_separated_pair_rows(rng, n: int, min_gap: float = 1e-3
@@ -721,11 +338,6 @@ def random_separated_pair_rows(rng, n: int, min_gap: float = 1e-3
     pairs = _draw_until(rng, n, draw, lambda rows: proj_residual_rows(
         rows[:, :2], rows[:, 2:]) >= min_gap)
     return pairs[:, :2], pairs[:, 2:]
-
-
-def random_separated_pair(rng, min_gap: float = 1e-3) -> tuple[ProjPoint, ProjPoint]:
-    x, y = random_separated_pair_rows(rng, 1, min_gap)
-    return ProjPoint(tuple(x[0])), ProjPoint(tuple(y[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -161,9 +161,18 @@ def plumb_report(chain: list[int]) -> dict:
 # decompositions
 
 
+#: The largest total fiber degree `decompositions_report` enumerates: at 8,
+#: `--pointed --depth -1 --json` takes 51 s and 3 GB (2-vCPU VM), and the
+#: work grows about sixfold per degree.
+MAX_FIBER_DEGREE = 8
+
+
 def decompositions_report(n: int, depth: int | None, pointed: bool) -> dict:
     if n < 0:
         raise ValueError(f"total fiber degree must be >= 0, got {n}")
+    if n > MAX_FIBER_DEGREE:
+        raise ValueError(f"total fiber degree {n} is above the limit "
+                         f"{MAX_FIBER_DEGREE}")
     descriptors = stable_trees.enumerate_strata(n, depth, pointed=pointed)
     return {
         "subcommand": "decompositions",

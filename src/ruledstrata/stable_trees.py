@@ -2,10 +2,11 @@
 
 A stable map in class A - kF whose structure lies over stratum m >= k has a
 distinguished stem component in class A - mF; everything else maps into
-fibers.  This module handles the combinatorics only: trees of components
-with homology labels and labeled marked points, the stability condition,
-enumeration of the fiber strata with their dimensions, and the labeled-tree
-automorphism count that bounds the isotropy of a stable map.
+fibers.  This module handles the combinatorics only: the partitions of the
+total fiber degree, the stable branch shapes as nested tuples, and the
+stratum descriptors with their dimensions and automorphism counts.  The
+test suite's `tests/oracles.py` realizes each descriptor as an explicit
+tree of labeled components and checks it there.
 
 Stratum descriptors serialize to JSON objects with fields
 
@@ -25,166 +26,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-from .homology import TRIVIAL, H2Class
-
-
-def fiber_class(d: int) -> H2Class:
-    """The class dF on the product surface; d = 0 is a ghost label."""
-    if d < 0:
-        raise ValueError("fiber multiples have d >= 0")
-    return TRIVIAL.h2(0, d)
-
-
-def stem_class(m: int) -> H2Class:
-    return TRIVIAL.h2(1, -m)
-
-
-@dataclass(frozen=True)
-class TreeComponent:
-    """One component of the domain: homology label plus marked-point count."""
-
-    label: H2Class
-    marked: int = 0
-
-    @property
-    def is_ghost(self) -> bool:
-        return self.label.coeffs == (0, 0)
-
-
-@dataclass(frozen=True)
-class StableTree:
-    """Tree of components with labeled marked points.
-
-    Edges are unordered pairs of component indices; double points are
-    simple, so the edge set has no repeats.  At most one component is the
-    stem, and its class must be A - mF with m >= 0.
-    """
-
-    components: tuple[TreeComponent, ...]
-    edges: tuple[tuple[int, int], ...]
-    stem: int | None = None
-
-    def __post_init__(self):
-        n = len(self.components)
-        if n == 0:
-            raise ValueError("tree must have at least one component")
-        norm = []
-        for i, j in self.edges:
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bad edge ({i}, {j})")
-            norm.append((min(i, j), max(i, j)))
-        if len(set(norm)) != len(norm):
-            raise ValueError("components meet in at most one point")
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        if len(self.edges) != n - 1 or not self._connected():
-            raise ValueError("component graph must be a tree")
-        if self.stem is not None:
-            a, b = self.components[self.stem].label.coeffs
-            if a != 1 or b > 0:
-                raise ValueError("stem class must be A - mF with m >= 0")
-
-    def _connected(self) -> bool:
-        adj = self.adjacency()
-        seen = {0}
-        todo = [0]
-        while todo:
-            v = todo.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return len(seen) == len(self.components)
-
-    def adjacency(self) -> list[list[int]]:
-        adj = [[] for _ in self.components]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
-    def degree(self, v: int) -> int:
-        return sum(1 for i, j in self.edges if v in (i, j))
-
-    @property
-    def total_class(self) -> H2Class:
-        total = TRIVIAL.h2(0, 0)
-        for c in self.components:
-            total = total + c.label
-        return total
-
-
-def is_stable(t: StableTree) -> bool:
-    """Whether every ghost component carries at least three special points.
-
-    Special points are nodes and marked points; nonconstant components are
-    unconstrained.
-    """
-    for v, comp in enumerate(t.components):
-        if comp.is_ghost and t.degree(v) + comp.marked < 3:
-            return False
-    return True
-
-
-def combinatorial_isotropy(t: StableTree) -> int:
-    """Order of the automorphism group of the labeled tree.
-
-    Automorphisms fix the stem and preserve component labels.  Marked points
-    are labeled, so any component carrying one is fixed.  This counts only
-    domain-tree symmetry and is an upper bound for the isotropy of a stable
-    map with this shadow.
-    """
-    n = len(t.components)
-    adj = t.adjacency()
-
-    def key(v: int):
-        comp = t.components[v]
-        # labeled marked points pin the component: make its key unique
-        pin = v if comp.marked > 0 else -1
-        return (comp.label.coeffs, comp.marked, pin)
-
-    def walk(v: int, parent: int) -> tuple[tuple, int]:
-        children = []
-        order = 1
-        for w in adj[v]:
-            if w != parent:
-                canon, aut = walk(w, v)
-                children.append(canon)
-                order *= aut
-        children.sort()
-        return (key(v), tuple(children)), order * _perm_order(children)
-
-    if t.stem is not None or n == 1:
-        root = t.stem if t.stem is not None else 0
-        _, order = walk(root, -1)
-    else:
-        centers = _tree_centers(n, adj)
-        if len(centers) == 1:
-            _, order = walk(centers[0], -1)
-        else:
-            u, v = centers
-            cu, ou = walk(u, v)
-            cv, ov = walk(v, u)
-            order = ou * ov * (2 if cu == cv else 1)
-    return order
-
-
-def _tree_centers(n: int, adj) -> list[int]:
-    if n == 1:
-        return [0]
-    deg = [len(a) for a in adj]
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for w in adj[v]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    nxt.append(w)
-        layer = nxt
-    return layer
 
 
 def _runs(items) -> list[tuple]:
@@ -215,10 +56,6 @@ class FiberDecomposition:
             raise ValueError("parts must be positive")
         object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
 
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
 
 def enumerate_decompositions(n: int) -> list[FiberDecomposition]:
     """All integer partitions of n, each exactly once (empty for n <= 0)."""
@@ -235,18 +72,6 @@ def _partitions(n: int, cap: int | None = None):
     for first in range(min(n, n if cap is None else cap), 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
-
-
-def top_stratum_dimension(d: FiberDecomposition) -> int:
-    """Real dimension 4n - 2p of the open stratum with these branch degrees."""
-    return 4 * d.total - 2 * len(d.parts)
-
-
-def branch_moduli_dim(d: int) -> int:
-    """Dimension 4(d - 1) of degree-d one-pointed stable maps to the sphere."""
-    if d < 1:
-        raise ValueError("branch degree must be >= 1")
-    return 4 * (d - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +208,6 @@ class StratumDescriptor:
     pointed_part: int | None = None
     pointed_shape: tuple | None = None
 
-    @property
-    def inferred(self) -> bool:
-        return self.pointed_part is not None
-
     def to_json(self) -> dict:
         out = {
             "parts": list(self.decomposition.parts),
@@ -446,28 +267,3 @@ def _assign_shapes(groups, max_depth):
         pools.append(list(itertools.combinations_with_replacement(pool, mult)))
     for pick in itertools.product(*pools):
         yield tuple(itertools.chain.from_iterable(pick))
-
-
-def stratum_tree(descriptor: StratumDescriptor, stem_drop: int) -> StableTree:
-    """Realize a descriptor as a stable tree with stem class A - mF.
-
-    The result represents A - kF with k = m - n, where n is the total fiber
-    degree of the descriptor; labels always sum to that class exactly.
-    """
-    components = [TreeComponent(stem_class(stem_drop))]
-    edges: list[tuple[int, int]] = []
-
-    def add(shape, parent: int):
-        idx = len(components)
-        # the marker slot, present only in pointed shapes
-        marked = 1 if shape[1:-1] == (True,) else 0
-        components.append(TreeComponent(fiber_class(shape[0]), marked=marked))
-        edges.append((parent, idx))
-        for child in shape[-1]:
-            add(child, idx)
-
-    for s in descriptor.shapes:
-        add(s, 0)
-    if descriptor.pointed_shape is not None:
-        add(descriptor.pointed_shape, 0)
-    return StableTree(tuple(components), tuple(edges), stem=0)

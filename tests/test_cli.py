@@ -238,6 +238,18 @@ class TestDecompositions:
         code, report = run_json(capsys, ["decompositions", "--n", "0"])
         assert code == 0 and report["rows"] == []
 
+    def test_degree_above_limit_refused(self, capsys):
+        assert reports.MAX_FIBER_DEGREE == 8
+        for argv in (["decompositions", "--n", "9"],
+                     ["decompositions", "--n", "12", "--pointed", "--json"]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert "limit 8" in captured.err
+        code, report = run_json(capsys, ["decompositions", "--n", "8", "--depth", "0"])
+        assert code == 0 and len(report["rows"]) == 22
+
     def test_pointed_flag(self, capsys):
         code, report = run_json(
             capsys, ["decompositions", "--n", "2", "--pointed"])

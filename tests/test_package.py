@@ -20,8 +20,7 @@ BLAS_PROBE = ("import os; print(len(os.listdir('/proc/self/task')), "
 def run_fresh(code: str, blas_threads: str | None = None) -> list[str]:
     """Run code in a fresh interpreter with `src` on the path; stdout lines.
 
-    OPENBLAS_NUM_THREADS is `blas_threads` in the child, unset when None
-    (an in-process verify-maps test sets it in this process).
+    OPENBLAS_NUM_THREADS is `blas_threads` in the child, unset when None.
     """
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
@@ -84,9 +83,11 @@ def test_verify_maps_loads_numpy():
                     reason="needs /proc/self/task to count threads")
 def test_verify_maps_runs_one_blas_thread():
     # the checks make no threaded BLAS call, so numpy must not start an
-    # OpenBLAS worker thread when the user has not asked for a count
+    # OpenBLAS worker thread when the user has not asked for a count; the
+    # variable is unset again, so children of an in-process caller keep
+    # their own BLAS thread count
     assert run_cli_fresh([["verify-maps", "--samples", "5"]],
-                         BLAS_PROBE) == ["[0]", "1 1"]
+                         BLAS_PROBE) == ["[0]", "1 None"]
 
 
 def test_verify_maps_keeps_user_blas_threads():

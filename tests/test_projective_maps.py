@@ -5,58 +5,54 @@ import json
 import numpy as np
 import pytest
 
-from ruledstrata import projective_maps
-from ruledstrata.projective_maps import (
-    MAX_SAMPLES,
-    SINGULAR_CONE_POINT,
-    VERIFY_CHECKS,
-    VERIFY_CHUNK,
+from oracles import (
     ProjPoint,
     RationalMapDeg2,
     apply_mobius,
     compose_mobius,
-    count_phi30_rows,
-    count_preimages,
+    count_h,
+    count_phi30,
+    count_phi32,
     critical_values,
-    critical_values_rows,
     eval_h,
-    eval_h_rows,
     eval_phi30,
-    eval_phi30_rows,
     eval_phi32,
-    eval_phi32_rows,
     map_from_critical_values,
-    on_y,
     orbit_space_map,
-    orbit_space_map_rows,
     proj_residual,
-    proj_residual_rows,
-    quadric_q,
     quadric_residual,
+    s5_identification,
+    squaring_map,
+    tau,
+    unordered_pair_residual,
+    weighted_circle_orbit,
+    y_residual,
+)
+from ruledstrata import projective_maps
+from ruledstrata.projective_maps import (
+    DEFAULT_TOL,
+    MAX_SAMPLES,
+    VERIFY_CHECKS,
+    VERIFY_CHUNK,
+    count_phi30_rows,
+    critical_values_rows,
+    eval_h_rows,
+    eval_phi30_rows,
+    eval_phi32_rows,
+    orbit_space_map_rows,
+    proj_residual_rows,
     quadric_residual_rows,
     random_cover_line_rows,
     random_generic_square_rows,
-    random_generic_square_target,
-    random_line_target,
     random_line_target_rows,
-    random_point_on_cover_line,
-    random_proj_point,
     random_proj_rows,
-    random_separated_pair,
     random_separated_pair_rows,
-    random_unit_sphere_point,
     random_unit_sphere_rows,
-    s5_identification,
     s5_identification_rows,
-    squaring_map,
-    tau,
     tau_rows,
-    unordered_pair_residual,
     unordered_pair_residual_rows,
     verify_maps_report,
-    weighted_circle_orbit,
     weighted_circle_orbit_rows,
-    y_residual,
     y_residual_rows,
 )
 
@@ -77,14 +73,15 @@ class TestProjPoint:
     def test_scaling_invariance(self):
         rng = RNG()
         for _ in range(50):
-            p = random_proj_point(rng, 3)
+            p = ProjPoint(tuple(random_proj_rows(rng, 1, 3)[0]))
             scalar = complex(rng.standard_normal(), rng.standard_normal())
             if abs(scalar) < 1e-3:
                 continue
             q = ProjPoint(tuple(scalar * c for c in p.coords))
             assert p.close_to(q)
-            assert quadric_q(p) == quadric_q(q)
-            assert count_preimages(eval_phi30, p) == count_preimages(eval_phi30, q)
+            assert ((quadric_residual(p) < DEFAULT_TOL)
+                    == (quadric_residual(q) < DEFAULT_TOL))
+            assert count_phi30(p) == count_phi30(q)
 
 
 class TestQuotientMap:
@@ -94,28 +91,28 @@ class TestQuotientMap:
     def test_symmetry(self):
         rng = RNG()
         for _ in range(300):
-            p = random_proj_point(rng, 2)
-            q = random_proj_point(rng, 2)
+            p = random_proj_rows(rng, 1, 2)[0]
+            q = random_proj_rows(rng, 1, 2)[0]
             assert proj_residual(eval_h(p, q), eval_h(q, p)) < 1e-12
 
     def test_diagonal_on_quadric(self):
         rng = RNG()
         for _ in range(300):
-            p = random_proj_point(rng, 2)
+            p = random_proj_rows(rng, 1, 2)[0]
             assert quadric_residual(eval_h(p, p)) < 1e-12
 
 
 class TestQuadric:
     def test_examples(self):
-        assert quadric_q((1, 1, 0))
-        assert not quadric_q((1, 0, 0))
+        assert quadric_residual((1, 1, 0)) < DEFAULT_TOL
+        assert quadric_residual((1, 0, 0)) >= DEFAULT_TOL
 
     def test_cover_lines_map_to_quadric(self):
         rng = RNG()
         for s1 in (1, -1):
             for s2 in (1, -1):
                 for _ in range(200):
-                    p = random_point_on_cover_line(rng, s1, s2)
+                    p = random_cover_line_rows(rng, 1, s1, s2)[0]
                     assert quadric_residual(eval_phi30(p)) < 1e-12
 
 
@@ -126,7 +123,7 @@ class TestSquaresMaps:
     def test_phi30_deck_group(self):
         rng = RNG()
         for _ in range(100):
-            x, y, z = random_proj_point(rng, 3).coords
+            x, y, z = random_proj_rows(rng, 1, 3)[0]
             base = eval_phi30((x, y, z))
             for s1 in (1, -1):
                 for s2 in (1, -1):
@@ -135,22 +132,22 @@ class TestSquaresMaps:
     def test_phi32_tau_invariance(self):
         rng = RNG()
         for _ in range(300):
-            p = random_proj_point(rng, 3)
+            p = random_proj_rows(rng, 1, 3)[0]
             assert proj_residual(eval_phi32(p), eval_phi32(tau(p))) < 1e-12
 
     def test_phi32_image_on_cone(self):
         rng = RNG()
         for _ in range(300):
-            p = random_proj_point(rng, 3)
-            assert on_y(eval_phi32(p))
+            p = random_proj_rows(rng, 1, 3)[0]
+            assert y_residual(eval_phi32(p)) < DEFAULT_TOL
 
     def test_singular_point(self):
-        assert eval_phi32((0, 0, 1)).close_to(SINGULAR_CONE_POINT)
+        assert eval_phi32((0, 0, 1)).close_to((0, 0, 1, 0))
 
     def test_on_y_examples(self):
-        assert on_y((0, 0, 1, 0))
-        assert on_y((1, 1, 0, 1))
-        assert not on_y((1, 1, 0, 0))
+        assert y_residual((0, 0, 1, 0)) < DEFAULT_TOL
+        assert y_residual((1, 1, 0, 1)) < DEFAULT_TOL
+        assert y_residual((1, 1, 0, 0)) >= DEFAULT_TOL
 
 
 class TestCriticalValues:
@@ -167,7 +164,7 @@ class TestCriticalValues:
     def test_round_trip(self):
         rng = RNG()
         for _ in range(300):
-            x, y = random_separated_pair(rng)
+            x, y = (r[0] for r in random_separated_pair_rows(rng, 1))
             got = critical_values(map_from_critical_values(x, y))
             assert not got.degenerate
             assert unordered_pair_residual(got.values, (x, y)) < 1e-7
@@ -179,7 +176,8 @@ class TestCriticalValues:
                 g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                 if abs(np.linalg.det(g)) > 1e-2:
                     break
-            m = map_from_critical_values(*random_separated_pair(rng))
+            m = map_from_critical_values(
+                *(r[0] for r in random_separated_pair_rows(rng, 1)))
             direct = critical_values(compose_mobius(g, m)).values
             moved = tuple(apply_mobius(g, v) for v in critical_values(m).values)
             assert unordered_pair_residual(direct, moved) < 1e-6
@@ -190,10 +188,10 @@ class TestCriticalValues:
             map_from_critical_values(p, p)
 
     def test_degenerate_flagged(self):
-        # nearly-coincident critical points sneak past a loosened resultant
-        # gate and must come back flagged, as an equal pair
-        m = RationalMapDeg2((1, 0, -1e-13), (0, 1, 0), tolerance=1e-30)
-        got = critical_values(m)
+        # a map next to a shared root passes the resultant gate, and its
+        # nearly coincident critical points come back flagged, as an equal pair
+        num, den = TestBatchOracle.near_confluent_maps(RNG(), 5)
+        got = critical_values(RationalMapDeg2(tuple(num[4]), tuple(den[4])))
         assert got.degenerate
         assert got.values[0].close_to(got.values[1], tol=1e-5)
 
@@ -206,8 +204,8 @@ class TestPreimageCounts:
     def test_generic_four(self):
         rng = RNG()
         for _ in range(50):
-            target = random_generic_square_target(rng)
-            got = count_preimages(eval_phi30, target)
+            target = random_generic_square_rows(rng, 1)[0]
+            got = count_phi30(target)
             assert got.count == 4
             assert got.generic
 
@@ -215,53 +213,48 @@ class TestPreimageCounts:
         rng = RNG()
         for i in range(3):
             for _ in range(50):
-                target = random_line_target(rng, i)
-                got = count_preimages(eval_phi30, target)
+                target = random_line_target_rows(rng, 1, i)[0]
+                got = count_phi30(target)
                 assert got.count == 2
                 assert not got.generic
 
     def test_double_branch_point_one(self):
-        got = count_preimages(eval_phi30, ProjPoint((1, 0, 0)))
+        got = count_phi30(ProjPoint((1, 0, 0)))
         assert got.count == 1
         assert not got.generic
 
     def test_phi32_two_and_composite_count(self):
         rng = RNG()
         for _ in range(50):
-            p = random_generic_square_target(rng)
+            p = random_generic_square_rows(rng, 1)[0]
             target = eval_phi32(p)
-            got = count_preimages(eval_phi32, target)
+            got = count_phi32(target)
             assert got.count == 2
         # the squares map factors through the cone quotient: 2 x 2 = 4
-        assert 2 * 2 == count_preimages(
-            eval_phi30, random_generic_square_target(rng)).count
+        assert 2 * 2 == count_phi30(random_generic_square_rows(rng, 1)[0]).count
 
     def test_phi32_singular_point(self):
-        got = count_preimages(eval_phi32, SINGULAR_CONE_POINT)
+        got = count_phi32((0, 0, 1, 0))
         assert got.count == 1
         assert not got.generic
 
     def test_h_counts(self):
         rng = RNG()
         for _ in range(50):
-            p = random_proj_point(rng, 2)
-            q = random_proj_point(rng, 2)
+            p = random_proj_rows(rng, 1, 2)[0]
+            q = random_proj_rows(rng, 1, 2)[0]
             target = eval_h(p, q)
             expected = 1 if quadric_residual(target) < 1e-3 else 2
-            assert count_preimages(eval_h, target).count == expected
+            assert count_h(target).count == expected
         diag = eval_h((1, 2), (1, 2))
-        assert count_preimages(eval_h, diag).count == 1
-
-    def test_unsupported_map(self):
-        with pytest.raises(ValueError):
-            count_preimages(tau, ProjPoint((1, 0, 0)))
+        assert count_h(diag).count == 1
 
 
 class TestWeightedAction:
     def test_full_period(self):
         rng = RNG()
         for _ in range(100):
-            p = random_unit_sphere_point(rng)
+            p = random_unit_sphere_rows(rng, 1)[0]
             moved = weighted_circle_orbit(2 * np.pi, p)
             assert max(abs(a - b) for a, b in zip(moved, p)) < 1e-12
 
@@ -295,7 +288,7 @@ class TestSphereIdentification:
     def test_norm_preserved(self):
         rng = RNG()
         for _ in range(300):
-            p = random_unit_sphere_point(rng)
+            p = random_unit_sphere_rows(rng, 1)[0]
             out = s5_identification(p)
             assert abs(sum(abs(c) ** 2 for c in out) - 1) < 1e-12
 
@@ -307,7 +300,7 @@ class TestSphereIdentification:
     def test_tau_invariance(self):
         rng = RNG()
         for _ in range(300):
-            x, y, z = random_unit_sphere_point(rng)
+            x, y, z = random_unit_sphere_rows(rng, 1)[0]
             a = s5_identification((x, y, z))
             b = s5_identification((x, y, -z))
             assert max(abs(u - v) for u, v in zip(a, b)) < 1e-12
@@ -317,7 +310,7 @@ class TestOrbitSpaceMap:
     def test_orbit_invariance(self):
         rng = RNG()
         for _ in range(100):
-            p = random_unit_sphere_point(rng)
+            p = random_unit_sphere_rows(rng, 1)[0]
             theta = float(rng.uniform(0, 2 * np.pi))
             moved = weighted_circle_orbit(theta, p)
             assert proj_residual(orbit_space_map(p), orbit_space_map(moved)) < 1e-9
@@ -325,10 +318,11 @@ class TestOrbitSpaceMap:
     def test_lands_on_cone(self):
         rng = RNG()
         for _ in range(200):
-            assert on_y(orbit_space_map(random_unit_sphere_point(rng)))
+            pt = orbit_space_map(random_unit_sphere_rows(rng, 1)[0])
+            assert y_residual(pt) < DEFAULT_TOL
 
     def test_singular_orbit(self):
-        assert orbit_space_map((0, 0, 1)).close_to(SINGULAR_CONE_POINT)
+        assert orbit_space_map((0, 0, 1)).close_to((0, 0, 1, 0))
 
 
 def test_proj_residual_basics():
@@ -358,12 +352,12 @@ def test_exact_symmetries():
     # and clusters the roots once, which relies on these holding exactly
     rng = RNG()
     for _ in range(500):
-        p = random_proj_point(rng, 2)
-        q = random_proj_point(rng, 2)
+        p = random_proj_rows(rng, 1, 2)[0]
+        q = random_proj_rows(rng, 1, 2)[0]
         assert eval_h(p, q).coords == eval_h(q, p).coords
         assert proj_residual(p, q) == proj_residual(q, p)
-        a = random_proj_point(rng, 3)
-        b = random_proj_point(rng, 3)
+        a = random_proj_rows(rng, 1, 3)[0]
+        b = random_proj_rows(rng, 1, 3)[0]
         assert proj_residual(a, b) == proj_residual(b, a)
 
 
@@ -534,25 +528,9 @@ class TestBatchOracle:
                         random_proj_rows(rng, self.N, 3), special,
                         *(random_line_target_rows(rng, self.N, i) for i in range(3))):
             counts, generic = count_phi30_rows(targets)
-            scalar = [count_preimages(eval_phi30, t) for t in points(targets)]
+            scalar = [count_phi30(t) for t in points(targets)]
             assert counts.tolist() == [s.count for s in scalar]
             assert generic.tolist() == [s.generic for s in scalar]
-
-    def test_one_point_samplers_draw_a_batch_of_one(self):
-        for one, batch in (
-                (lambda rng: random_proj_point(rng, 3).coords,
-                 lambda rng: random_proj_rows(rng, 1, 3)[0]),
-                (random_generic_square_target,
-                 lambda rng: random_generic_square_rows(rng, 1)[0]),
-                (lambda rng: random_line_target(rng, 1),
-                 lambda rng: random_line_target_rows(rng, 1, 1)[0]),
-                (lambda rng: random_point_on_cover_line(rng, -1, 1),
-                 lambda rng: random_cover_line_rows(rng, 1, -1, 1)[0]),
-                (random_unit_sphere_point,
-                 lambda rng: random_unit_sphere_rows(rng, 1)[0]),
-                (lambda rng: random_separated_pair(rng)[1],
-                 lambda rng: random_separated_pair_rows(rng, 1)[1][0])):
-            assert tuple(one(RNG())) == tuple(batch(RNG()))
 
 
 def scalar_draw(check, family, rng, n):
@@ -588,10 +566,10 @@ def scalar_draw(check, family, rng, n):
             critical_values(map_from_critical_values(a, b)).values, (a, b))
             for a, b in zip(points(x), points(y))]
     if check == "phi30-generic-preimages":
-        return [abs(count_preimages(eval_phi30, t).count - 4)
+        return [abs(count_phi30(t).count - 4)
                 for t in points(random_generic_square_rows(rng, n))]
     if check == "phi30-line-preimages":
-        return [abs(count_preimages(eval_phi30, t).count - 2)
+        return [abs(count_phi30(t).count - 2)
                 for t in points(random_line_target_rows(rng, n, family))]
     raise AssertionError(check)
 

@@ -4,24 +4,26 @@ import math
 
 import pytest
 
-from ruledstrata.homology import TRIVIAL
-from ruledstrata.stable_trees import (
-    FiberDecomposition,
+from oracles import (
     StableTree,
     TreeComponent,
     branch_moduli_dim,
-    branch_shapes,
     combinatorial_isotropy,
-    enumerate_decompositions,
-    enumerate_strata,
     fiber_class,
     is_stable,
-    shape_aut_order,
-    shape_edges,
-    shape_to_json,
     stem_class,
     stratum_tree,
     top_stratum_dimension,
+)
+from ruledstrata.homology import TRIVIAL
+from ruledstrata.stable_trees import (
+    FiberDecomposition,
+    branch_shapes,
+    enumerate_decompositions,
+    enumerate_strata,
+    shape_aut_order,
+    shape_edges,
+    shape_to_json,
 )
 
 
@@ -202,6 +204,17 @@ class TestEnumerateStrata:
                     assert desc.isotropy == math.prod(
                         shape_aut_order(s) for s in shapes)
 
+    @pytest.mark.parametrize("pointed", [False, True])
+    def test_isotropy_matches_tree_oracle(self, pointed):
+        # the descriptor's isotropy multiplies the branches' own automorphisms;
+        # in the tree, equal branches at the stem also swap with each other
+        for n in range(1, 6):
+            for desc in enumerate_strata(n, max_branch_depth=None, pointed=pointed):
+                swaps = math.prod(math.factorial(desc.shapes.count(s))
+                                  for s in set(desc.shapes))
+                assert (combinatorial_isotropy(stratum_tree(desc, n))
+                        == desc.isotropy * swaps)
+
     def test_json_schema(self):
         for desc in enumerate_strata(2):
             blob = desc.to_json()
@@ -210,7 +223,7 @@ class TestEnumerateStrata:
 
     def test_pointed_flagged_and_bounded(self):
         strata = enumerate_strata(2, pointed=True)
-        assert all(d.inferred for d in strata)
+        assert all(d.pointed_part is not None for d in strata)
         dims = sorted(d.dimension for d in strata)
         assert dims == [0, 0, 2, 2, 2, 4]
         for d in strata:
