@@ -184,30 +184,15 @@ def stratum_curve_class(surface: RuledSurface, k: int) -> H2Class:
     return surface.h2(-(k - 1), k)
 
 
-def admissible_strata(form: SymplecticForm) -> list[int]:
-    """All stratum indices k whose defining curve class has positive area.
-
-    This is the set-builder form { k : area > 0 }, evaluated exactly; on the
-    product surface it equals {0, ..., l} where l - 1 < lambda <= l.  On the
-    blow-up the indices start at k = 1.
-    """
-    out = []
-    k = _first_stratum(form.surface)
-    while area(form, stratum_curve_class(form.surface, k)) > 0:
-        out.append(k)
-        k += 1
-    return out
-
-
 def admissible_count(form: SymplecticForm) -> int:
-    """`len(admissible_strata(form))`, exact and without building the list.
-
-    Stratum k has area 1 + lambda - k on both surfaces.
+    """How many indices k >= `first_stratum` give a curve class of positive
+    area: stratum k has area 1 + lambda - k on both surfaces.
     """
-    return math.ceil(1 + form.lam) - _first_stratum(form.surface)
+    return math.ceil(1 + form.lam) - first_stratum(form.surface)
 
 
-def _first_stratum(surface: RuledSurface) -> int:
+def first_stratum(surface: RuledSurface) -> int:
+    """The least stratum index: 0 on the product, 1 on the blow-up."""
     return 0 if surface is TRIVIAL else 1
 
 

@@ -4,7 +4,9 @@ The scalar projective models take one point in plain complex arithmetic;
 each is the reference for the `_rows` form of `ruledstrata.projective_maps`
 and rounds as it does.  Only constants come from there, never a `_rows`
 model.  The stable-tree route realizes a `stable_trees` descriptor as an
-explicit labeled tree, with stability, automorphisms and dimensions.
+explicit labeled tree, with stability, automorphisms and dimensions.  The
+admissible strata are listed by testing the area of each stratum in turn,
+the reference for the closed-form count behind the strata report.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ruledstrata.homology import TRIVIAL, H2Class
+from ruledstrata.homology import (
+    TRIVIAL,
+    H2Class,
+    SymplecticForm,
+    area,
+    stratum_curve_class,
+)
 from ruledstrata.projective_maps import CLUSTER_TOL, DEFAULT_TOL, GENERIC_MARGIN
 
 
@@ -358,6 +366,25 @@ def orbit_space_map(p) -> ProjPoint:
     """
     x, y, z = _require_unit(p)
     return ProjPoint((x * x, y * y, z, x * y))
+
+
+# ---------------------------------------------------------------------------
+# admissible strata
+
+
+def admissible_strata(form: SymplecticForm) -> list[int]:
+    """All stratum indices k whose defining curve class has positive area.
+
+    This is the set-builder form { k : area > 0 }, evaluated exactly; on the
+    product surface it equals {0, ..., l} where l - 1 < lambda <= l.  On the
+    blow-up the indices start at k = 1.
+    """
+    out = []
+    k = 0 if form.surface is TRIVIAL else 1
+    while area(form, stratum_curve_class(form.surface, k)) > 0:
+        out.append(k)
+        k += 1
+    return out
 
 
 # ---------------------------------------------------------------------------

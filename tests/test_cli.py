@@ -134,6 +134,19 @@ class TestPlumb:
         assert code == 0
         assert report["result"]["p"] == 0
 
+    def test_chain_length_limit(self, capsys):
+        collapse = [-2] * (reports.MAX_CHAIN_LENGTH - 1) + [-1]
+        code, report = run_json(
+            capsys, ["plumb", "--chain=" + ",".join(map(str, collapse))])
+        assert code == 0
+        assert len(report["params"]["chain"]) == 1000
+        assert len(report["blow_down_trace"]) == 1001
+        assert cli.main(["plumb", "--chain=" + ",".join(["-2"] * 1001)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: chain of 1001 vertices is above the "
+                                "limit 1000\n")
+
     def test_empty_chain(self, capsys):
         for argv in (["plumb", "--chain", ""], ["plumb", "--chain=,"],
                      ["plumb", "--chain", "", "--json"]):

@@ -5,15 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import admissible_strata
 from ruledstrata.homology import (
     NONTRIVIAL,
     TRIVIAL,
     SymplecticForm,
     admissible_count,
-    admissible_strata,
     area,
     chern_pairing,
     codim_cross_check,
+    first_stratum,
     intersect,
     link_dimension,
     strata_codim,
@@ -89,10 +90,18 @@ def test_form_parameter_ranges():
     SymplecticForm(TRIVIAL, 0)  # boundary value is fine on the product
 
 
+def admissible_range(form):
+    """The indices the strata report iterates: a closed-form count from the
+    first index, the route that `admissible_strata` is the oracle for."""
+    first = first_stratum(form.surface)
+    return list(range(first, first + admissible_count(form)))
+
+
 def test_admissible_examples():
-    assert admissible_strata(SymplecticForm(TRIVIAL, 2)) == [0, 1, 2]
-    assert admissible_strata(SymplecticForm(TRIVIAL, 0)) == [0]
-    assert admissible_strata(SymplecticForm(TRIVIAL, Fraction(5, 2))) == [0, 1, 2, 3]
+    for lam, expected in ((2, [0, 1, 2]), (0, [0]), (Fraction(5, 2), [0, 1, 2, 3])):
+        form = SymplecticForm(TRIVIAL, lam)
+        assert admissible_strata(form) == expected
+        assert admissible_range(form) == expected
 
 
 def test_admissible_matches_positivity_oracle():
@@ -103,11 +112,14 @@ def test_admissible_matches_positivity_oracle():
             form = SymplecticForm(TRIVIAL, lam)
             oracle = [k for k in range(50) if area(form, A - k * F) > 0]
             assert admissible_strata(form) == oracle
+            assert admissible_range(form) == oracle
 
 
 def test_admissible_nontrivial():
-    assert admissible_strata(SymplecticForm(NONTRIVIAL, 2)) == [1, 2]
-    assert admissible_strata(SymplecticForm(NONTRIVIAL, Fraction(1, 2))) == [1]
+    for lam, expected in ((2, [1, 2]), (Fraction(1, 2), [1])):
+        form = SymplecticForm(NONTRIVIAL, lam)
+        assert admissible_strata(form) == expected
+        assert admissible_range(form) == expected
 
 
 def test_admissible_count_matches_list():
@@ -116,6 +128,7 @@ def test_admissible_count_matches_list():
             for den in (1, 2, 3, 7):
                 form = SymplecticForm(surface, Fraction(num, den))
                 assert admissible_count(form) == len(admissible_strata(form))
+                assert admissible_range(form) == admissible_strata(form)
     assert admissible_count(SymplecticForm(TRIVIAL, 0)) == 1
     assert admissible_count(SymplecticForm(TRIVIAL, Fraction(10**400))) == 10**400 + 1
 

@@ -1,5 +1,6 @@
 """Package-level contracts."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -7,28 +8,37 @@ from pathlib import Path
 
 import pytest
 
+from ruledstrata import cli
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Prints which of numpy and the numeric module a fresh interpreter has loaded.
 NUMERIC_PROBE = ("import sys; print(sorted(m for m in sys.modules "
                  "if m in ('numpy', 'ruledstrata.projective_maps')))")
+# Prints every ruledstrata submodule a fresh interpreter has loaded.
+MODULE_PROBE = ("import sys; print(sorted(m for m in sys.modules "
+                "if m.startswith('ruledstrata.')))")
 # Prints the threads of the process and the BLAS thread count it asks for.
 BLAS_PROBE = ("import os; print(len(os.listdir('/proc/self/task')), "
               "os.environ.get('OPENBLAS_NUM_THREADS'))")
 
 
-def run_fresh(code: str, blas_threads: str | None = None) -> list[str]:
-    """Run code in a fresh interpreter with `src` on the path; stdout lines.
-
-    OPENBLAS_NUM_THREADS is `blas_threads` in the child, unset when None.
-    """
+def fresh_env(blas_threads: str | None = None) -> dict:
+    """The environment of a fresh interpreter with `src` on the path, and
+    OPENBLAS_NUM_THREADS set to `blas_threads`, or unset when None."""
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return env
+
+
+def run_fresh(code: str, blas_threads: str | None = None) -> list[str]:
+    """Run code in a fresh interpreter with `src` on the path; stdout lines."""
+    return subprocess.run([sys.executable, "-c", code],
+                          env=fresh_env(blas_threads), check=True,
                           capture_output=True, text=True).stdout.splitlines()
 
 
@@ -94,3 +104,83 @@ def test_verify_maps_keeps_user_blas_threads():
     probe = "import os; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert run_cli_fresh([["verify-maps", "--samples", "5"]], probe,
                          blas_threads="2") == ["[0]", "2"]
+
+
+def test_verify_maps_json_loads_no_exact_layer():
+    # verify-maps --json needs only numpy and projective_maps: no report
+    # builder, no exact layer
+    assert run_cli_fresh([["verify-maps", "--samples", "5", "--json"]],
+                         MODULE_PROBE) == [
+        "[0]", "['ruledstrata.cli', 'ruledstrata.projective_maps']"]
+
+
+def test_verify_maps_table_renders():
+    # the table form loads `reports` only to render
+    result = subprocess.run(
+        [sys.executable, "-m", "ruledstrata.cli", "verify-maps", "--samples",
+         "5"], env=fresh_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("# verify-maps")
+    assert lines[1].split()[:2] == ["check", "samples"]
+    assert set(lines[2]) <= {"-", " "}
+    assert len(lines) == 3 + 10 + 1 and lines[-1] == "pass: True"
+    assert len({len(line) for line in lines[1:-1]}) == 1
+
+
+def test_in_process_main_does_not_freeze(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["links", "--m", "2", "--k", "1"]) == 0
+    assert cli.main(["strata", "--lambda", "1/0"]) == 2
+    with pytest.raises(SystemExit):
+        cli.main(["links", "--bogus"])
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["links", "--m", "2", "--k", "1"], 0),
+    (["links", "--bogus"], 2),
+])
+def test_process_main_freezes_before_exit(argv, code):
+    # main() on sys.argv, as the console script calls it, freezes the
+    # objects before interpreter shutdown, also when argparse exits
+    script = ("import atexit, gc, sys\n"
+              "from ruledstrata import cli\n"
+              "atexit.register(lambda: print('frozen at exit',"
+              " gc.get_freeze_count() > 0, file=sys.stderr))\n"
+              "print('frozen before', gc.get_freeze_count() > 0,"
+              " file=sys.stderr)\n"
+              f"sys.argv = ['ruledstrata'] + {argv!r}\n"
+              "sys.exit(cli.main())\n")
+    result = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == code, result.stderr
+    err = result.stderr.splitlines()
+    assert err[0] == "frozen before False"
+    assert err[-1] == "frozen at exit True"
+
+
+def test_unknown_surface_refused(capsys):
+    for argv in (["strata", "--lambda", "2", "--surface", "bogus"],
+                 ["links", "--m", "2", "--k", "1", "--surface", "bogus"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: unknown surface 'bogus'; "
+                                "use trivial or nontrivial\n")
+
+
+def test_closed_pipe_exits_quietly():
+    # about 0.8 MB of JSON, far more than a pipe buffer holds; the reader
+    # takes one byte and closes its end
+    chain = ",".join(["-2"] * 399 + ["-1"])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ruledstrata.cli", "plumb", f"--chain={chain}",
+         "--json"], env=fresh_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
