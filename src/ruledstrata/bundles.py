@@ -9,14 +9,13 @@ the link pipeline enters it as the twist of `plumbing.plumb_with_ly`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class LineBundleExpr:
+class LineBundleExpr(namedtuple("LineBundleExpr", "degree")):
     """A complex line bundle over the sphere, known by its Euler number."""
 
-    degree: int
+    __slots__ = ()
 
     def __repr__(self):
         return f"O({self.degree})"
@@ -56,16 +55,15 @@ def gluing_bundle(k: int) -> LineBundleExpr:
                   TANGENT_SPHERE)
 
 
-@dataclass(frozen=True)
-class Rank2BundleExpr:
-    """A sum of two line bundles over the sphere.
+class Rank2BundleExpr(namedtuple("Rank2BundleExpr", "degrees")):
+    """A sum of two line bundles over the sphere, by its pair of degrees.
 
     The ordered pair matters for plumbing bookkeeping (which factor gets
     twisted at an intermediate step), but the isomorphism type depends only
     on the degree sum.
     """
 
-    degrees: tuple[int, int]
+    __slots__ = ()
 
     @property
     def normal_form(self) -> int:

@@ -3,8 +3,9 @@
 Subcommands: strata, links, plumb, verify-maps, decompositions.  Reports
 print as fixed-width tables by default or as JSON with --json; exit status
 is 0 when every check passed, 1 on a failed check or a closed stdout pipe,
-2 on invalid input.  Only verify-maps loads numpy, and its --json form no
-exact layer; `main` on `sys.argv` freezes every object before exit.
+2 on invalid input.  Each subcommand loads only the layers it calls: only
+verify-maps loads numpy, after its arguments are checked, and its --json
+form no exact layer; `main` on `sys.argv` freezes every object before exit.
 """
 
 from __future__ import annotations
@@ -12,8 +13,25 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
+
+#: The most samples verify-maps takes (about 15 s of work).
+MAX_SAMPLES = 10**6
+
+
+def check_verify_maps_args(samples: int, seed: int, tol: float):
+    """Raise ValueError on verify-maps arguments out of range.  It needs no
+    numpy, so `run` refuses them before `projective_maps` loads."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples {samples} is above the limit {MAX_SAMPLES}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,6 +82,7 @@ def _surface(p: argparse.ArgumentParser):
 
 def run(args) -> dict:
     if args.subcommand == "verify-maps":
+        check_verify_maps_args(args.samples, args.seed, args.tol)
         # the checks make no threaded BLAS call, but OpenBLAS starts a worker
         # per core when numpy loads and it spins: one thread cuts a 5000-sample
         # run from 0.52 to 0.40 s of CPU at the same wall time (2-vCPU VM).
@@ -87,8 +106,7 @@ def run(args) -> dict:
         return reports.links_report(args.m, args.k,
                                     reports.surface_by_name(args.surface))
     if args.subcommand == "plumb":
-        chain = [int(x) for x in args.chain.split(",") if x.strip()]
-        return reports.plumb_report(chain)
+        return reports.plumb_report(reports.parse_chain(args.chain))
     if args.subcommand == "decompositions":
         depth = None if args.depth < 0 else args.depth
         return reports.decompositions_report(args.n, depth, args.pointed)

@@ -13,12 +13,12 @@ exactly on an integer boundary, so no floating point is used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class RuledSurface:
+class RuledSurface(namedtuple("RuledSurface",
+                              "name basis_names pairing tangent_chern")):
     """A rational ruled surface with a fixed integral basis of H_2.
 
     `name` is its key in `SURFACES`, `pairing` the intersection matrix in
@@ -26,10 +26,7 @@ class RuledSurface:
     of the tangent bundle.
     """
 
-    name: str
-    basis_names: tuple[str, str]
-    pairing: tuple[tuple[int, int], tuple[int, int]]
-    tangent_chern: tuple[int, int]
+    __slots__ = ()
 
     def h2(self, a: int, b: int) -> "H2Class":
         """Return the class a*e1 + b*e2 in this surface's basis."""
@@ -68,17 +65,23 @@ NONTRIVIAL = RuledSurface(
 SURFACES = {s.name: s for s in (TRIVIAL, NONTRIVIAL)}
 
 
-@dataclass(frozen=True)
 class H2Class:
     """An integral second homology class in the surface's fixed basis."""
 
-    surface: RuledSurface
-    coeffs: tuple[int, int]
+    __slots__ = ("surface", "coeffs")
 
-    def __post_init__(self):
-        a, b = self.coeffs
+    def __init__(self, surface: RuledSurface, coeffs: tuple[int, int]):
+        a, b = coeffs
         if not (isinstance(a, int) and isinstance(b, int)):
             raise TypeError("homology coefficients must be exact integers")
+        self.surface, self.coeffs = surface, coeffs
+
+    def __eq__(self, other):
+        return (isinstance(other, H2Class) and self.surface == other.surface
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.surface, self.coeffs))
 
     def __add__(self, other: "H2Class") -> "H2Class":
         _require_same_surface(self, other)
@@ -132,7 +135,6 @@ def intersect(c1: H2Class, c2: H2Class) -> int:
             + b1 * (m[1][0] * a2 + m[1][1] * b2))
 
 
-@dataclass(frozen=True)
 class SymplecticForm:
     """The normalized form with area 1 on the fiber, parametrized by lambda.
 
@@ -141,12 +143,11 @@ class SymplecticForm:
     exceptional sphere E has area lambda > 0.
     """
 
-    surface: RuledSurface
-    lam: Fraction
+    __slots__ = ("surface", "lam")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        if self.surface is TRIVIAL:
+    def __init__(self, surface: RuledSurface, lam):
+        self.surface, self.lam = surface, Fraction(lam)
+        if surface is TRIVIAL:
             if self.lam < 0:
                 raise ValueError("lambda must be >= 0 on the product surface")
         else:
@@ -221,30 +222,23 @@ def strata_codim(surface: RuledSurface, k: int) -> int:
     return 4 * k
 
 
-@dataclass(frozen=True)
-class CodimCheck:
-    """Stated stratum codimension next to the adjunction-style count.
+#: Stated stratum codimension next to the adjunction-style count, and
+#: whether they agree.
+CodimCheck = namedtuple("CodimCheck", "stated adjunction consistent")
 
-    `adjunction` is -(2 c1.B - 2) for the stratum's curve class B, the
+
+def codim_cross_check(surface: RuledSurface, k: int) -> CodimCheck:
+    """`adjunction` is -(2 c1.B - 2) for the stratum's curve class B, the
     negative index of the deformation problem.  On the product surface the
     two agree; on the blow-up they differ by 4 and the tension is surfaced
     here rather than resolved.
     """
-
-    stated: int
-    adjunction: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.stated == self.adjunction
-
-
-def codim_cross_check(surface: RuledSurface, k: int) -> CodimCheck:
     if k < 1:
         raise ValueError("cross-check defined for k >= 1")
     b = stratum_curve_class(surface, k)
     adj = -(2 * chern_pairing(b) - 2)
-    return CodimCheck(stated=strata_codim(surface, k), adjunction=adj)
+    stated = strata_codim(surface, k)
+    return CodimCheck(stated, adj, stated == adj)
 
 
 def link_dimension(m: int, k: int) -> int:

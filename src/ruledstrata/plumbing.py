@@ -15,17 +15,15 @@ pipelines.  Link results are `Space` normal forms tagged "lens",
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .bundles import Rank2BundleExpr, gluing_bundle, v2_bundle
-from .homology import NONTRIVIAL, intersect, stratum_curve_class
 
 
 # ---------------------------------------------------------------------------
 # normal-form spaces
 
 
-@dataclass(frozen=True)
 class Space:
     """Normal form of a link computation.
 
@@ -33,15 +31,26 @@ class Space:
     "pullback_canonical" (the circle bundle over the blow-up of the plane
     pulled back from the plane) and "s5".  The conventions L(0,1) = S2 x S1,
     L(1,0) = S3 and L(2,1) = RP3 are applied in `display` and
-    `lens_equivalent`, not by retagging.
+    `lens_equivalent`, not by retagging.  `notes` and `eulers` take no part
+    in equality.
     """
 
-    tag: str
-    p: int | None = None
-    q: int | None = None
-    degree_sum: int | None = None
-    notes: tuple[str, ...] = field(default=(), compare=False)
-    eulers: tuple[tuple[str, int], ...] = field(default=(), compare=False)
+    __slots__ = ("tag", "p", "q", "degree_sum", "notes", "eulers")
+
+    def __init__(self, tag: str, p: int | None = None, q: int | None = None,
+                 degree_sum: int | None = None, notes: tuple[str, ...] = (),
+                 eulers: tuple[tuple[str, int], ...] = ()):
+        self.tag, self.p, self.q, self.degree_sum = tag, p, q, degree_sum
+        self.notes, self.eulers = notes, eulers
+
+    def _key(self):
+        return self.tag, self.p, self.q, self.degree_sum
+
+    def __eq__(self, other):
+        return isinstance(other, Space) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def euler_over(self, name: str) -> int:
         for key, value in self.eulers:
@@ -82,11 +91,6 @@ def lens_space(p: int, q: int, notes: tuple[str, ...] = ()) -> Space:
     else:
         q %= p
     return Space("lens", p=p, q=q, notes=notes)
-
-
-S2XS1 = lens_space(0, 1)
-RP3 = lens_space(2, 1)
-S3 = lens_space(1, 0)
 
 
 def _as_lens_pq(s: Space) -> tuple[int, int]:
@@ -260,14 +264,8 @@ def link_adjacent(k: int) -> Space:
     return circle_bundle_space(gluing_bundle(k).degree)
 
 
-@dataclass(frozen=True)
-class Link20Result:
-    """Trace and results of the two-step link computation at the open end."""
-
-    steps: tuple[tuple[str, object], ...]
-    l_z: Space
-    link: Space
-    sublink: Space
+#: Trace and results of the two-step link computation at the open end.
+Link20Result = namedtuple("Link20Result", "steps l_z link sublink")
 
 
 def link20_pipeline() -> Link20Result:
@@ -296,26 +294,19 @@ def link20_pipeline() -> Link20Result:
     return Link20Result(tuple(steps), l_z, final, sublink)
 
 
-@dataclass(frozen=True)
-class NontrivialLinkResult:
-    """Stated adjacent link on the blow-up surface, plus a diagnostic.
+#: Stated adjacent link on the blow-up surface, plus a diagnostic.
+NontrivialLinkResult = namedtuple("NontrivialLinkResult",
+                                  "space derived derived_degree agrees")
+
+
+def link_nontrivial(k: int) -> NontrivialLinkResult:
+    """Normal link of stratum k+1 in stratum k on the blow-up surface.
 
     `space` is the stated value L(4k+1, 1).  `derived` is what the
     self-intersection-plus-two gluing-degree rule would give instead; the
     two disagree and the disagreement is reported, never reconciled.
     """
-
-    space: Space
-    derived: Space
-    derived_degree: int
-
-    @property
-    def agrees(self) -> bool:
-        return lens_equivalent(self.space, self.derived)
-
-
-def link_nontrivial(k: int) -> NontrivialLinkResult:
-    """Normal link of stratum k+1 in stratum k on the blow-up surface."""
+    from .homology import NONTRIVIAL, intersect, stratum_curve_class
     if k < 1:
         raise ValueError("need k >= 1")
     stated = lens_space(4 * k + 1, 1,
@@ -323,5 +314,5 @@ def link_nontrivial(k: int) -> NontrivialLinkResult:
     b = stratum_curve_class(NONTRIVIAL, k + 1)
     degree = intersect(b, b) + 2
     derived = circle_bundle_space(degree)
-    return NontrivialLinkResult(space=stated, derived=derived,
-                                derived_degree=degree)
+    return NontrivialLinkResult(stated, derived, degree,
+                                lens_equivalent(stated, derived))

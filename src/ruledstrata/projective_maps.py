@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .cli import MAX_SAMPLES, check_verify_maps_args
+
 DEFAULT_TOL = 1e-9
 CLUSTER_TOL = 1e-6
 GENERIC_MARGIN = 1e-3
@@ -347,10 +349,6 @@ def random_separated_pair_rows(rng, n: int, min_gap: float = 1e-3
 #: does not dominate, few enough that a chunk's arrays stay near 100 kB.
 VERIFY_CHUNK = 1024
 
-#: The most samples `verify_maps_report` takes (about 15 s of work); it
-#: raises above this.
-MAX_SAMPLES = 10**6
-
 
 def _h_symmetry(rng, n):
     p, q = random_proj_rows(rng, n, 2), random_proj_rows(rng, n, 2)
@@ -444,12 +442,7 @@ def verify_maps_report(samples: int, seed: int, tol: float) -> dict:
     1e-7; the remaining identities use the requested tolerance.  Samples
     are drawn `VERIFY_CHUNK` at a time; more than `MAX_SAMPLES` raises.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"samples {samples} is above the limit {MAX_SAMPLES}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    check_verify_maps_args(samples, seed, tol)
     rng = np.random.default_rng(seed)
     rows = []
     for check, rule, threshold, cap, draws in VERIFY_CHECKS:

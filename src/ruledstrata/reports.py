@@ -5,27 +5,20 @@ Each builder returns a plain-JSON dictionary (strings, integers, floats,
 booleans, lists, dicts), so reports parse back to themselves.  Every row
 carries a stable `rule` string naming the rewrite or formula that produced
 it, so traces survive refactors; exact rationals are fraction strings.
+Each builder imports the layers it calls, so a process loads only those.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 
-from . import homology, plumbing, stable_trees
-from .bundles import gluing_bundle
-from .homology import NONTRIVIAL, SURFACES, TRIVIAL, RuledSurface, SymplecticForm
-
-
-def surface_by_name(name: str) -> RuledSurface:
+def surface_by_name(name: str):
+    """The `homology.RuledSurface` named `name`."""
+    from .homology import SURFACES
     try:
         return SURFACES[name]
     except KeyError:
         raise ValueError(f"unknown surface {name!r}; "
                          f"use {' or '.join(SURFACES)}")
-
-
-def _frac(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +29,12 @@ def _frac(x: Fraction) -> str:
 MAX_STRATA_ROWS = 10**5
 
 
-def strata_report(lam: Fraction, surface: RuledSurface) -> dict:
+def strata_report(lam, surface) -> dict:
     """Admissible strata with areas, codimensions and next-link dimensions."""
-    form = SymplecticForm(surface, lam)
+    from fractions import Fraction
+
+    from . import homology
+    form = homology.SymplecticForm(surface, lam)
     count = homology.admissible_count(form)
     if count > MAX_STRATA_ROWS:
         raise ValueError("the number of strata for this lambda is above "
@@ -50,21 +46,21 @@ def strata_report(lam: Fraction, surface: RuledSurface) -> dict:
         row = {
             "k": k,
             "class": repr(cls),
-            "area": _frac(homology.area(form, cls)),
+            "area": str(Fraction(homology.area(form, cls))),
             "codim": homology.strata_codim(surface, k),
             "link_dim": homology.link_dimension(k + 1, k),
             "rule": "area-positivity/stratum-codimension",
         }
         if k == 0:
             row["note"] = "pointed link dimension 4m-3 (inferred)"
-        if surface is NONTRIVIAL:
+        if surface is homology.NONTRIVIAL:
             check = homology.codim_cross_check(surface, k)
             row["codim_adjunction"] = check.adjunction
             row["codim_consistent"] = check.consistent
         rows.append(row)
     return {
         "subcommand": "strata",
-        "params": {"lambda": _frac(lam), "surface": surface.name},
+        "params": {"lambda": str(Fraction(lam)), "surface": surface.name},
         "rows": rows,
         "pass": True,
     }
@@ -85,8 +81,11 @@ class UnsupportedLinkError(ValueError):
             f"is not derived here; supported cases: {cases}")
 
 
-def links_report(m: int, k: int, surface: RuledSurface) -> dict:
+def links_report(m: int, k: int, surface) -> dict:
     """Normal form of the link of stratum m in the closure of stratum k."""
+    from . import plumbing
+    from .bundles import gluing_bundle
+    from .homology import NONTRIVIAL, TRIVIAL
     if m <= k or k < 0:
         raise ValueError("need m > k >= 0")
     report = {
@@ -143,15 +142,35 @@ def links_report(m: int, k: int, surface: RuledSurface) -> dict:
 #: and 1,000 vertices take 0.54 s and 5 MB, 4,000 take 8.5 s (2-vCPU VM).
 MAX_CHAIN_LENGTH = 1000
 
+#: The most decimal digits of a chain entry and of the lens parameter p
+#: that `plumb` takes: CPython writes no int of more than 4,300 digits as
+#: text, and a chain of 1,000 entries of -100000 has a p of 5,000 digits.
+MAX_LENS_DIGITS = 4000
+
+
+def parse_chain(text: str) -> list[int]:
+    """The Euler numbers of a comma-separated chain; an entry of more than
+    `MAX_LENS_DIGITS` digits raises before `int` reads it."""
+    entries = [x for x in text.split(",") if x.strip()]
+    digits = max(len(x.strip().lstrip("+-")) for x in entries) if entries else 0
+    if digits > MAX_LENS_DIGITS:
+        raise ValueError(f"chain entry of {digits} digits is above the limit "
+                         f"{MAX_LENS_DIGITS}")
+    return [int(x) for x in entries]
+
 
 def plumb_report(chain: list[int]) -> dict:
     """Normal form of a linear plumbing chain, with the blow-down trace."""
+    from . import plumbing
     if not chain:
         raise ValueError("need a nonempty chain")
     if len(chain) > MAX_CHAIN_LENGTH:
         raise ValueError(f"chain of {len(chain)} vertices is above the "
                          f"limit {MAX_CHAIN_LENGTH}")
     space = plumbing.chain_to_lens(chain)
+    if space.p >= 10**MAX_LENS_DIGITS:
+        raise ValueError(f"lens parameter p of this chain has more than "
+                         f"{MAX_LENS_DIGITS} digits, the limit")
     trace = plumbing.blow_down_fully(chain)
     reduced = plumbing.chain_to_lens(trace[-1])
     return {
@@ -182,6 +201,7 @@ def decompositions_report(n: int, depth: int | None, pointed: bool) -> dict:
     if n > MAX_FIBER_DEGREE:
         raise ValueError(f"total fiber degree {n} is above the limit "
                          f"{MAX_FIBER_DEGREE}")
+    from . import stable_trees
     descriptors = stable_trees.enumerate_strata(n, depth, pointed=pointed)
     return {
         "subcommand": "decompositions",

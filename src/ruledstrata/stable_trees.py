@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -45,23 +45,12 @@ def _perm_order(items) -> int:
 # decompositions of the total fiber degree
 
 
-@dataclass(frozen=True)
-class FiberDecomposition:
-    """Unordered positive fiber degrees of the branches."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
-            raise ValueError("parts must be positive")
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
-
-
-def enumerate_decompositions(n: int) -> list[FiberDecomposition]:
-    """All integer partitions of n, each exactly once (empty for n <= 0)."""
+def enumerate_decompositions(n: int) -> list[tuple[int, ...]]:
+    """All integer partitions of n, each exactly once and largest part
+    first: the positive fiber degrees of the branches (empty for n <= 0)."""
     if n <= 0:
         return []
-    return [FiberDecomposition(p) for p in _partitions(n)]
+    return list(_partitions(n))
 
 
 def _partitions(n: int, cap: int | None = None):
@@ -190,27 +179,24 @@ def shape_to_json(shape) -> list:
 # stratum descriptors
 
 
-@dataclass(frozen=True)
-class StratumDescriptor:
+class StratumDescriptor(namedtuple(
+        "StratumDescriptor", "parts shapes dimension isotropy pointed_part "
+        "pointed_shape", defaults=(None, None))):
     """One combinatorial stratum of the fiber over a stratum of structures.
 
-    `shapes` aligns with `decomposition.parts`.  In the pointed variant one
-    branch is attached at the fixed incidence fiber and carries the marked
-    point; its decorated shape sits in `pointed_shape` and `pointed_part`
-    holds its degree.  Pointed output is inferred by the same counting rules
-    as the plain case and flagged as such.
+    `parts` is the decomposition of the total fiber degree, a partition.
+    `shapes` aligns with `parts`, less `pointed_part` in the pointed
+    variant, where one branch is attached at the fixed incidence fiber and
+    carries the marked point; its decorated shape sits in `pointed_shape`
+    and `pointed_part` holds its degree.  Pointed output is inferred by the
+    same counting rules as the plain case and flagged as such.
     """
 
-    decomposition: FiberDecomposition
-    shapes: tuple[tuple, ...]
-    dimension: int
-    isotropy: int
-    pointed_part: int | None = None
-    pointed_shape: tuple | None = None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = {
-            "parts": list(self.decomposition.parts),
+            "parts": list(self.parts),
             "shape": [shape_to_json(s) for s in self.shapes],
             "dim": self.dimension,
             "isotropy": self.isotropy,
@@ -239,14 +225,14 @@ def enumerate_strata(n: int, max_branch_depth: int | None = 3,
         return []
     out = []
     for dec in enumerate_decompositions(n):
-        p = len(dec.parts)
+        p = len(dec)
         if pointed:
-            choices = [(d0, ps) for d0, _ in _runs(dec.parts)
+            choices = [(d0, ps) for d0, _ in _runs(dec)
                        for ps in branch_shapes(d0, max_branch_depth, pointed=True)]
         else:
             choices = [(None, None)]
         for d0, ps in choices:
-            rest = list(dec.parts)
+            rest = list(dec)
             if d0 is not None:
                 rest.remove(d0)
             marked = () if ps is None else (ps,)
@@ -256,7 +242,7 @@ def enumerate_strata(n: int, max_branch_depth: int | None = 3,
                 iso = math.prod(auts)
                 out.append(StratumDescriptor(dec, combo, dim, iso,
                                              pointed_part=d0, pointed_shape=ps))
-    out.sort(key=lambda s: (-s.dimension, s.decomposition.parts, s.shapes))
+    out.sort(key=lambda s: (-s.dimension, s.parts, s.shapes))
     return out
 
 

@@ -6,7 +6,8 @@ and rounds as it does.  Only constants come from there, never a `_rows`
 model.  The stable-tree route realizes a `stable_trees` descriptor as an
 explicit labeled tree, with stability, automorphisms and dimensions.  The
 admissible strata are listed by testing the area of each stratum in turn,
-the reference for the closed-form count behind the strata report.
+the reference for the closed-form count behind the strata report.  The
+three named lens spaces are the tests' reference values.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from ruledstrata.homology import (
     area,
     stratum_curve_class,
 )
+from ruledstrata.plumbing import lens_space
 from ruledstrata.projective_maps import CLUSTER_TOL, DEFAULT_TOL, GENERIC_MARGIN
 
 
@@ -388,6 +390,14 @@ def admissible_strata(form: SymplecticForm) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# named lens spaces
+
+S2XS1 = lens_space(0, 1)
+RP3 = lens_space(2, 1)
+S3 = lens_space(1, 0)
+
+
+# ---------------------------------------------------------------------------
 # stable trees
 
 
@@ -572,10 +582,10 @@ def stratum_tree(descriptor, stem_drop: int) -> StableTree:
     return StableTree(tuple(components), tuple(edges), stem=0)
 
 
-def top_stratum_dimension(d) -> int:
-    """Real dimension 4n - 2p of the open stratum with the branch degrees
-    of a `stable_trees.FiberDecomposition`."""
-    return 4 * sum(d.parts) - 2 * len(d.parts)
+def top_stratum_dimension(parts) -> int:
+    """Real dimension 4n - 2p of the open stratum whose p branches have the
+    fiber degrees `parts`, a partition of n."""
+    return 4 * sum(parts) - 2 * len(parts)
 
 
 def branch_moduli_dim(d: int) -> int:

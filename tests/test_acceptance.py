@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from oracles import (
+    RP3,
     StableTree,
     TreeComponent,
     branch_moduli_dim,
@@ -31,7 +32,6 @@ from ruledstrata import cli
 from ruledstrata.bundles import gluing_bundle
 from ruledstrata.homology import TRIVIAL, chern_pairing, strata_codim
 from ruledstrata.plumbing import (
-    RP3,
     blow_down_fully,
     chain_to_lens,
     lens_equivalent,
@@ -130,9 +130,9 @@ def test_criterion_05_stratum_tables():
     count = 0
     for n in range(1, 9):
         for dec in enumerate_decompositions(n):
-            p = len(dec.parts)
+            p = len(dec)
             ok &= (top_stratum_dimension(dec)
-                   == sum(branch_moduli_dim(d) for d in dec.parts) + 2 * p)
+                   == sum(branch_moduli_dim(d) for d in dec) + 2 * p)
             count += 1
     verdict(5, ok, f"codim 4k-2 for k=1..10 and 4n-2p identity over "
                    f"{count} partitions of n<=8")

@@ -147,6 +147,27 @@ class TestPlumb:
         assert captured.err == ("error: chain of 1001 vertices is above the "
                                 "limit 1000\n")
 
+    def test_digit_limit(self, capsys):
+        # CPython writes no int of more than 4,300 digits as text: a chain
+        # whose lens parameter p is longer, and an entry that long, are
+        # refused with the tool's own limit
+        limit = reports.MAX_LENS_DIGITS
+        for argv, err in (
+                (["plumb", "--chain=" + ",".join(["-100000"] * 1000)],
+                 f"lens parameter p of this chain has more than {limit} "
+                 "digits, the limit"),
+                (["plumb", "--chain=-" + "9" * 5001, "--json"],
+                 f"chain entry of 5001 digits is above the limit {limit}")):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {err}\n"
+        code, report = run_json(capsys, ["plumb", "--chain=-" + "9" * limit])
+        assert code == 0
+        assert report["result"]["p"] == 10**limit - 1
+        assert cli.main(["plumb", "--chain=" + "9" * limit]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_empty_chain(self, capsys):
         for argv in (["plumb", "--chain", ""], ["plumb", "--chain=,"],
                      ["plumb", "--chain", "", "--json"]):
@@ -200,6 +221,16 @@ class TestVerifyMaps:
             assert captured.err.startswith("error:")
             assert "samples" in captured.err
             assert "limit 1000000" in captured.err
+
+    def test_negative_seed_rejected(self, capsys):
+        # refused by name, not by numpy's "expected non-negative integer"
+        assert cli.main(["verify-maps", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        with pytest.raises(ValueError, match="seed"):
+            verify_maps_report(5, -1, 1e-9)
+        assert projective_maps.MAX_SAMPLES == cli.MAX_SAMPLES == 10**6
 
     def test_worst_sample_in_range(self, capsys):
         code, report = run_json(capsys, ["verify-maps", "--samples", "150"])

@@ -18,6 +18,11 @@ NUMERIC_PROBE = ("import sys; print(sorted(m for m in sys.modules "
 # Prints every ruledstrata submodule a fresh interpreter has loaded.
 MODULE_PROBE = ("import sys; print(sorted(m for m in sys.modules "
                 "if m.startswith('ruledstrata.')))")
+# Prints which of dataclasses, inspect and numpy a fresh interpreter has
+# loaded; no exact subcommand needs them, and the first two take about 11 ms
+# to import.
+HEAVY_PROBE = ("import sys; print(sorted(m for m in sys.modules "
+               "if m in ('dataclasses', 'inspect', 'numpy')))")
 # Prints the threads of the process and the BLAS thread count it asks for.
 BLAS_PROBE = ("import os; print(len(os.listdir('/proc/self/task')), "
               "os.environ.get('OPENBLAS_NUM_THREADS'))")
@@ -77,6 +82,45 @@ def test_exact_subcommands_load_no_numpy():
               ["decompositions", "--n", "3", "--pointed", "--json"],
               ["strata", "--lambda", "1/0"]]
     assert run_cli_fresh(argvs) == [str([0] * 10 + [2]), "[]"]
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["strata", "--lambda", "5/2"], ["homology"]),
+    (["strata", "--lambda", "5/2", "--surface", "nontrivial", "--json"],
+     ["homology"]),
+    (["decompositions", "--n", "3"], ["stable_trees"]),
+    (["decompositions", "--n", "3", "--pointed", "--json"], ["stable_trees"]),
+    (["links", "--m", "2", "--k", "0", "--json"],
+     ["bundles", "homology", "plumbing"]),
+    (["links", "--m", "3", "--k", "2", "--surface", "nontrivial"],
+     ["bundles", "homology", "plumbing"]),
+    (["plumb", "--chain=-3,-1", "--json"], ["bundles", "plumbing"]),
+    # an entry that does not parse is refused before any layer loads
+    (["plumb", "--chain=-2,x"], []),
+])
+def test_exact_subcommand_loads_only_its_layers(argv, layers):
+    # each subcommand loads the layers it calls and nothing heavier
+    modules = sorted(f"ruledstrata.{m}" for m in ["cli", "reports"] + layers)
+    code = str([0 if layers else 2])
+    assert run_cli_fresh([argv], MODULE_PROBE + "\n" + HEAVY_PROBE) == [
+        code, str(modules), "[]"]
+
+
+def test_verify_maps_table_loads_no_exact_layer():
+    # the table form loads `reports` to render, and no layer with it; numpy
+    # itself imports `inspect`, but nothing imports `dataclasses`
+    probe = MODULE_PROBE + "\nprint('dataclasses' in sys.modules)"
+    assert run_cli_fresh([["verify-maps", "--samples", "5"]], probe) == [
+        "[0]", "['ruledstrata.cli', 'ruledstrata.projective_maps', "
+        "'ruledstrata.reports']", "False"]
+
+
+def test_bad_verify_maps_arguments_refused_before_numpy():
+    argvs = [["verify-maps", "--samples", "20", "--tol", "nan", "--json"],
+             ["verify-maps", "--samples", "20", "--tol", "-1"],
+             ["verify-maps", "--seed", "-1"],
+             ["verify-maps", "--samples", "1000001", "--json"]]
+    assert run_cli_fresh(argvs) == ["[2, 2, 2, 2]", "[]"]
 
 
 def test_reports_import_loads_no_numpy():

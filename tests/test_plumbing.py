@@ -4,11 +4,9 @@ import itertools
 
 import pytest
 
+from oracles import RP3, S2XS1, S3
 from ruledstrata.bundles import Rank2BundleExpr
 from ruledstrata.plumbing import (
-    RP3,
-    S2XS1,
-    S3,
     blow_down,
     blow_down_fully,
     chain_to_lens,

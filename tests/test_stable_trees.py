@@ -17,7 +17,6 @@ from oracles import (
 )
 from ruledstrata.homology import TRIVIAL
 from ruledstrata.stable_trees import (
-    FiberDecomposition,
     branch_shapes,
     enumerate_decompositions,
     enumerate_strata,
@@ -84,8 +83,8 @@ class TestTreeValidation:
 
 class TestDecompositions:
     def test_small(self):
-        assert [d.parts for d in enumerate_decompositions(2)] == [(2,), (1, 1)]
-        assert [d.parts for d in enumerate_decompositions(1)] == [(1,)]
+        assert enumerate_decompositions(2) == [(2,), (1, 1)]
+        assert enumerate_decompositions(1) == [(1,)]
         assert len(enumerate_decompositions(4)) == 5
         assert enumerate_decompositions(0) == []
         assert enumerate_decompositions(-3) == []
@@ -100,16 +99,19 @@ class TestDecompositions:
         for n in range(1, limit + 1):
             assert len(enumerate_decompositions(n)) == table[n]
 
-    def test_parts_validated(self):
-        with pytest.raises(ValueError):
-            FiberDecomposition((2, 0))
+    def test_parts_positive_and_sorted(self):
+        # a decomposition is its parts tuple: positive, largest first
+        for n in range(1, 13):
+            for parts in enumerate_decompositions(n):
+                assert sum(parts) == n and min(parts) >= 1
+                assert list(parts) == sorted(parts, reverse=True)
 
 
 class TestDimensions:
     def test_top_dimension(self):
-        assert top_stratum_dimension(FiberDecomposition((2,))) == 6
-        assert top_stratum_dimension(FiberDecomposition((1, 1))) == 4
-        assert top_stratum_dimension(FiberDecomposition((1,))) == 2
+        assert top_stratum_dimension((2,)) == 6
+        assert top_stratum_dimension((1, 1)) == 4
+        assert top_stratum_dimension((1,)) == 2
 
     def test_branch_moduli(self):
         assert branch_moduli_dim(1) == 0
@@ -121,9 +123,9 @@ class TestDimensions:
         # 4n - 2p equals the sum of branch moduli plus attach points
         for n in range(1, 9):
             for dec in enumerate_decompositions(n):
-                p = len(dec.parts)
+                p = len(dec)
                 lhs = top_stratum_dimension(dec)
-                rhs = sum(branch_moduli_dim(d) for d in dec.parts) + 2 * p
+                rhs = sum(branch_moduli_dim(d) for d in dec) + 2 * p
                 assert lhs == rhs
 
 
@@ -149,7 +151,7 @@ class TestEnumerateStrata:
         for n in (2, 3):
             for d in enumerate_strata(n, max_branch_depth=None):
                 extra = sum(shape_edges(s) for s in d.shapes)
-                p = len(d.decomposition.parts)
+                p = len(d.parts)
                 assert d.dimension == 4 * n - 2 * p - 2 * extra
 
     def test_depth_bound_trims(self):
@@ -182,7 +184,7 @@ class TestEnumerateStrata:
             for d in enumerate_strata(n, max_branch_depth=None, pointed=True):
                 extra = sum(shape_edges(s)
                             for s in d.shapes + (d.pointed_shape,))
-                p = len(d.decomposition.parts)
+                p = len(d.parts)
                 assert d.dimension == 4 * n - 2 * p - 2 * extra - 2
 
     @pytest.mark.parametrize("pointed", [False, True])
@@ -199,7 +201,7 @@ class TestEnumerateStrata:
                 for desc in enumerate_strata(n, depth, pointed=pointed):
                     shapes = desc.shapes + ((desc.pointed_shape,) if pointed else ())
                     extra = sum(shape_edges(s) for s in shapes)
-                    p = len(desc.decomposition.parts)
+                    p = len(desc.parts)
                     assert desc.dimension == 4 * n - 2 * p - 2 * extra - 2 * pointed
                     assert desc.isotropy == math.prod(
                         shape_aut_order(s) for s in shapes)
