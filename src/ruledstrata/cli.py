@@ -96,12 +96,8 @@ def run(args) -> dict:
         return verify_maps_report(args.samples, args.seed, args.tol)
     from . import reports
     if args.subcommand == "strata":
-        from fractions import Fraction
-        try:
-            lam = Fraction(args.lam)
-        except ZeroDivisionError:
-            raise ValueError(f"lambda {args.lam} has a zero denominator") from None
-        return reports.strata_report(lam, reports.surface_by_name(args.surface))
+        return reports.strata_report(reports.parse_lambda(args.lam),
+                                     reports.surface_by_name(args.surface))
     if args.subcommand == "links":
         return reports.links_report(args.m, args.k,
                                     reports.surface_by_name(args.surface))

@@ -33,13 +33,6 @@ class RuledSurface(namedtuple("RuledSurface",
         return H2Class(self, (a, b))
 
     @property
-    def fiber_class(self) -> "H2Class":
-        # F itself on the product; L - E on the blow-up.
-        if self is TRIVIAL:
-            return self.h2(0, 1)
-        return self.h2(1, -1)
-
-    @property
     def tangent_chern_class(self) -> "H2Class":
         return self.h2(*self.tangent_chern)
 
@@ -82,22 +75,6 @@ class H2Class:
 
     def __hash__(self):
         return hash((self.surface, self.coeffs))
-
-    def __add__(self, other: "H2Class") -> "H2Class":
-        _require_same_surface(self, other)
-        return H2Class(self.surface, (self.coeffs[0] + other.coeffs[0],
-                                      self.coeffs[1] + other.coeffs[1]))
-
-    def __sub__(self, other: "H2Class") -> "H2Class":
-        return self + (-other)
-
-    def __neg__(self) -> "H2Class":
-        return H2Class(self.surface, (-self.coeffs[0], -self.coeffs[1]))
-
-    def __rmul__(self, n: int) -> "H2Class":
-        if not isinstance(n, int):
-            return NotImplemented
-        return H2Class(self.surface, (n * self.coeffs[0], n * self.coeffs[1]))
 
     def __repr__(self):
         names = self.surface.basis_names

@@ -8,16 +8,16 @@ L(n, 1); every other sign in the module follows from that choice.
 Blow-downs of (+/-1) entries give an independent rewrite route to the same
 normal forms.  The five-dimensional rewrites (plumbing a 3-sphere bundle
 with the canonical circle bundle over the plane, or with the weighted
-orbifold circle bundle) are applied only in the forms needed by the link
-pipelines.  Link results are `Space` normal forms tagged "lens",
-"sphere_bundle3", "pullback_canonical" or "s5".
+orbifold circle bundle) act on pairs of degrees, and are applied only in
+the forms needed by the link pipelines.  Link results are `Space` normal
+forms tagged "lens", "sphere_bundle3", "pullback_canonical" or "s5".
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .bundles import Rank2BundleExpr, gluing_bundle, v2_bundle
+from .bundles import gluing_bundle, v2_bundle
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,7 @@ from .bundles import Rank2BundleExpr, gluing_bundle, v2_bundle
 class Space:
     """Normal form of a link computation.
 
-    Tags: "lens" (with p, q), "sphere_bundle3" (degree sum),
+    Tags: "lens" (with p, q), "sphere_bundle3" (the link of a zero section),
     "pullback_canonical" (the circle bundle over the blow-up of the plane
     pulled back from the plane) and "s5".  The conventions L(0,1) = S2 x S1,
     L(1,0) = S3 and L(2,1) = RP3 are applied in `display` and
@@ -35,16 +35,16 @@ class Space:
     in equality.
     """
 
-    __slots__ = ("tag", "p", "q", "degree_sum", "notes", "eulers")
+    __slots__ = ("tag", "p", "q", "notes", "eulers")
 
     def __init__(self, tag: str, p: int | None = None, q: int | None = None,
-                 degree_sum: int | None = None, notes: tuple[str, ...] = (),
+                 notes: tuple[str, ...] = (),
                  eulers: tuple[tuple[str, int], ...] = ()):
-        self.tag, self.p, self.q, self.degree_sum = tag, p, q, degree_sum
+        self.tag, self.p, self.q = tag, p, q
         self.notes, self.eulers = notes, eulers
 
     def _key(self):
-        return self.tag, self.p, self.q, self.degree_sum
+        return self.tag, self.p, self.q
 
     def __eq__(self, other):
         return isinstance(other, Space) and self._key() == other._key()
@@ -69,10 +69,6 @@ class Space:
             return f"L({self.p},{self.q})"
         if self.tag == "s5":
             return "S5"
-        if self.tag == "sphere_bundle3":
-            return f"S(O({self.degree_sum})+O(0))"
-        if self.tag == "pullback_canonical":
-            return "S(L_can) pulled back over the blowdown"
         return self.tag
 
     def to_json(self) -> dict:
@@ -175,10 +171,10 @@ def blow_down_fully(chain) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# rank-2 rewrites used by the link pipelines
+# rank-2 rewrites used by the link pipelines, on pairs of degrees
 
 
-def plumb_with_canonical(b: Rank2BundleExpr) -> Rank2BundleExpr:
+def plumb_with_canonical(b: tuple[int, int]) -> tuple[int, int]:
     """Plumb the 3-sphere bundle with the canonical circle bundle over the
     plane: both degrees go up by one.
 
@@ -186,20 +182,20 @@ def plumb_with_canonical(b: Rank2BundleExpr) -> Rank2BundleExpr:
     its zero section, so on boundaries S(O(k)+O(m)) becomes
     S(O(k+1)+O(m+1)).
     """
-    return b.twisted(1, 1)
+    return b[0] + 1, b[1] + 1
 
 
-def plumb_with_ly(b: Rank2BundleExpr) -> Rank2BundleExpr:
+def plumb_with_ly(b: tuple[int, int]) -> tuple[int, int]:
     """Plumb with the weighted orbifold circle bundle at a regular fiber.
 
     The weighted fiber winds once more than a canonical fiber, so this is
     plumbing with the canonical circle bundle after one extra positive twist
     on the first factor: (k, m) -> (k+2, m+1).
     """
-    return plumb_with_canonical(b.twisted(1, 0))
+    return plumb_with_canonical((b[0] + 1, b[1]))
 
 
-def twist_by_attaching(b: Rank2BundleExpr) -> Rank2BundleExpr:
+def twist_by_attaching(b: tuple[int, int]) -> tuple[int, int]:
     """Twist both factors by the degree -1 line of the attaching parameter.
 
     When the two-fiber gluing bundle is attached to the double-cover
@@ -207,10 +203,10 @@ def twist_by_attaching(b: Rank2BundleExpr) -> Rank2BundleExpr:
     parameters once, which tensors each factor with the tautological
     degree -1 bundle: (k, m) -> (k-1, m-1).
     """
-    return b.twisted(-1, -1)
+    return b[0] - 1, b[1] - 1
 
 
-def identify_pullback_over_blowdown(b: Rank2BundleExpr) -> Space:
+def identify_pullback_over_blowdown(b: tuple[int, int]) -> Space:
     """Identify S(O(k)+O(m)) with k+m = -1 as a blowdown pullback.
 
     The projectivization of O(-1)+O(0) is the one-point blow-up of the
@@ -218,7 +214,7 @@ def identify_pullback_over_blowdown(b: Rank2BundleExpr) -> Space:
     canonical circle bundle under the blowdown map: trivial over the rigid
     section, Euler number -1 over the other section and over the fiber.
     """
-    if b.normal_form != -1:
+    if sum(b) != -1:
         raise ValueError("pullback identification needs degree sum -1")
     return Space(
         "pullback_canonical",
@@ -261,7 +257,7 @@ def link_adjacent(k: int) -> Space:
     """
     if k < 1:
         raise ValueError("adjacent strata need k >= 1")
-    return circle_bundle_space(gluing_bundle(k).degree)
+    return circle_bundle_space(gluing_bundle(k))
 
 
 #: Trace and results of the two-step link computation at the open end.
@@ -284,7 +280,7 @@ def link20_pipeline() -> Link20Result:
     steps.append(("attaching-twist", b))
     b = plumb_with_ly(b)
     steps.append(("orbifold-plumbing-regular-fiber", b))
-    l_z = Space("sphere_bundle3", degree_sum=b.normal_form,
+    l_z = Space("sphere_bundle3",
                 notes=("link of the zero section in the gluing data",))
     pulled = identify_pullback_over_blowdown(b)
     steps.append(("blowdown-pullback", pulled))

@@ -11,6 +11,14 @@ Each builder imports the layers it calls, so a process loads only those.
 from __future__ import annotations
 
 
+#: The most decimal digits of an integer the CLI reads: a chain entry and the
+#: lens parameter p of `plumb`, each number in `strata`'s lambda, its exponent
+#: and its numerator and denominator, and `links`' m and k.  CPython writes
+#: no int of more than 4,300 digits as text; the largest written from inputs
+#: within this limit, such as an area of 1 + lambda - k, stays below that.
+MAX_DIGITS = 4000
+
+
 def surface_by_name(name: str):
     """The `homology.RuledSurface` named `name`."""
     from .homology import SURFACES
@@ -27,6 +35,31 @@ def surface_by_name(name: str):
 #: The most rows `strata_report` builds (about 4 s of work); a lambda that
 #: gives more raises.
 MAX_STRATA_ROWS = 10**5
+
+
+def parse_lambda(text: str):
+    """The form parameter as a `Fraction`.  A number of more than `MAX_DIGITS`
+    digits or an exponent beyond it raises before `Fraction` reads the text,
+    and so does a numerator or denominator of more digits after it."""
+    import re
+    from fractions import Fraction
+    plain = text.replace("_", "")
+    digits = max(map(len, re.findall(r"\d+", plain)), default=0)
+    if digits > MAX_DIGITS:
+        raise ValueError(f"lambda number of {digits} digits is above the "
+                         f"limit {MAX_DIGITS}")
+    exponent = re.search(r"e([-+]?\d+)", plain, re.IGNORECASE)
+    if exponent and abs(int(exponent[1])) > MAX_DIGITS:
+        raise ValueError(f"lambda exponent {exponent[1]} is beyond the limit "
+                         f"+/-{MAX_DIGITS}")
+    try:
+        lam = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"lambda {text} has a zero denominator") from None
+    if max(abs(lam.numerator), lam.denominator) >= 10**MAX_DIGITS:
+        raise ValueError(f"lambda has a numerator or denominator of more than "
+                         f"{MAX_DIGITS} digits, the limit")
+    return lam
 
 
 def strata_report(lam, surface) -> dict:
@@ -88,16 +121,17 @@ def links_report(m: int, k: int, surface) -> dict:
     from .homology import NONTRIVIAL, TRIVIAL
     if m <= k or k < 0:
         raise ValueError("need m > k >= 0")
+    if m >= 10**MAX_DIGITS:
+        raise ValueError(f"m or k has more than {MAX_DIGITS} digits, the limit")
     report = {
         "subcommand": "links",
         "params": {"m": m, "k": k, "surface": surface.name},
         "pass": True,
     }
     if surface is TRIVIAL and m == k + 1 and k >= 1:
-        bundle = gluing_bundle(k)
         space = plumbing.link_adjacent(k)
         report["trace"] = [
-            {"rule": "gluing-bundle-degree", "bundle": bundle.degree},
+            {"rule": "gluing-bundle-degree", "bundle": gluing_bundle(k)},
             {"rule": "circle-bundle-recognition", "space": space.to_json()},
         ]
         report["result"] = space.to_json()
@@ -110,7 +144,7 @@ def links_report(m: int, k: int, surface) -> dict:
             if isinstance(state, plumbing.Space):
                 trace.append({"rule": rule, "space": state.to_json()})
             else:
-                trace.append({"rule": rule, "bundle": list(state.degrees)})
+                trace.append({"rule": rule, "bundle": list(state)})
         report["trace"] = trace
         report["l_z"] = run.l_z.to_json()
         report["result"] = run.link.to_json()
@@ -142,20 +176,15 @@ def links_report(m: int, k: int, surface) -> dict:
 #: and 1,000 vertices take 0.54 s and 5 MB, 4,000 take 8.5 s (2-vCPU VM).
 MAX_CHAIN_LENGTH = 1000
 
-#: The most decimal digits of a chain entry and of the lens parameter p
-#: that `plumb` takes: CPython writes no int of more than 4,300 digits as
-#: text, and a chain of 1,000 entries of -100000 has a p of 5,000 digits.
-MAX_LENS_DIGITS = 4000
-
 
 def parse_chain(text: str) -> list[int]:
     """The Euler numbers of a comma-separated chain; an entry of more than
-    `MAX_LENS_DIGITS` digits raises before `int` reads it."""
+    `MAX_DIGITS` digits raises before `int` reads it."""
     entries = [x for x in text.split(",") if x.strip()]
     digits = max(len(x.strip().lstrip("+-")) for x in entries) if entries else 0
-    if digits > MAX_LENS_DIGITS:
+    if digits > MAX_DIGITS:
         raise ValueError(f"chain entry of {digits} digits is above the limit "
-                         f"{MAX_LENS_DIGITS}")
+                         f"{MAX_DIGITS}")
     return [int(x) for x in entries]
 
 
@@ -168,9 +197,10 @@ def plumb_report(chain: list[int]) -> dict:
         raise ValueError(f"chain of {len(chain)} vertices is above the "
                          f"limit {MAX_CHAIN_LENGTH}")
     space = plumbing.chain_to_lens(chain)
-    if space.p >= 10**MAX_LENS_DIGITS:
+    # a chain of 1,000 entries of -100000 has a p of 5,000 digits
+    if space.p >= 10**MAX_DIGITS:
         raise ValueError(f"lens parameter p of this chain has more than "
-                         f"{MAX_LENS_DIGITS} digits, the limit")
+                         f"{MAX_DIGITS} digits, the limit")
     trace = plumbing.blow_down_fully(chain)
     reduced = plumbing.chain_to_lens(trace[-1])
     return {

@@ -476,10 +476,8 @@ class StableTree:
 
     @property
     def total_class(self) -> H2Class:
-        total = TRIVIAL.h2(0, 0)
-        for c in self.components:
-            total = total + c.label
-        return total
+        return TRIVIAL.h2(sum(c.label.coeffs[0] for c in self.components),
+                          sum(c.label.coeffs[1] for c in self.components))
 
 
 def is_stable(t: StableTree) -> bool:

@@ -89,8 +89,131 @@ class TestStrata:
                              "--surface", surface]) == 2
             assert "above the limit" in capsys.readouterr().err
 
+    def test_digit_limit(self, capsys):
+        # a lambda whose numbers, exponent, numerator or denominator pass
+        # `reports.MAX_DIGITS` is refused before CPython's 4,300-digit limit
+        # on int text, or the work of 10**exponent, is reached
+        limit = reports.MAX_DIGITS
+        for text, err in (
+                ("1/" + "9" * 4300, f"lambda number of 4300 digits is above "
+                                    f"the limit {limit}"),
+                ("1/" + "9" * 4301, f"lambda number of 4301 digits is above "
+                                    f"the limit {limit}"),
+                ("1/" + "9" * (limit + 1), f"lambda number of {limit + 1} "
+                                           f"digits is above the limit {limit}"),
+                ("1e-5000", f"lambda exponent -5000 is beyond the limit "
+                            f"+/-{limit}"),
+                ("1e-4_001", f"lambda exponent -4001 is beyond the limit "
+                             f"+/-{limit}"),
+                ("1e-4000", f"lambda has a numerator or denominator of more "
+                            f"than {limit} digits, the limit")):
+            for surface in ("trivial", "nontrivial"):
+                argv = ["strata", "--lambda", text, "--surface", surface]
+                assert cli.main(argv) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: {err}\n"
+        for text in ("1/" + "9" * limit, "1e-3999"):
+            code, report = run_json(capsys, ["strata", "--lambda", text])
+            assert code == 0 and len(report["rows"]) == 2
+            assert cli.main(["strata", "--lambda", text]) == 0
+            assert capsys.readouterr().err == ""
+
+
+#: Whole `links --json` reports, pinned literally: they fix the adjacent
+#: step's integer `bundle` and the blow-up report's `trace` and `diagnostic`.
+LINKS_REPORTS = {
+    ("3", "2", "trivial"): {
+        "subcommand": "links",
+        "params": {"m": 3, "k": 2, "surface": "trivial"},
+        "pass": True,
+        "trace": [
+            {"rule": "gluing-bundle-degree", "bundle": -4},
+            {"rule": "circle-bundle-recognition",
+             "space": {"tag": "lens", "p": 4, "q": 1, "notes": []}}],
+        "result": {"tag": "lens", "p": 4, "q": 1, "notes": []},
+        "display": "L(4,1)",
+    },
+    ("2", "0", "trivial"): {
+        "subcommand": "links",
+        "params": {"m": 2, "k": 0, "surface": "trivial"},
+        "pass": True,
+        "trace": [
+            {"rule": "gluing-bundle-over-two-fiber-stratum", "bundle": [-2, 0]},
+            {"rule": "attaching-twist", "bundle": [-3, -1]},
+            {"rule": "orbifold-plumbing-regular-fiber", "bundle": [-1, 0]},
+            {"rule": "blowdown-pullback",
+             "space": {"tag": "pullback_canonical", "p": None, "q": None,
+                       "notes": ["circle bundle over the one-point blow-up of "
+                                 "the plane",
+                                 "pulled back from the canonical circle "
+                                 "bundle under the blowdown"]}},
+            {"rule": "collapse-exceptional-fibers",
+             "space": {"tag": "s5", "p": None, "q": None,
+                       "notes": ["canonical circle bundle over the plane",
+                                 "sublink over a conic: L(2,1) = RP3"]}}],
+        "l_z": {"tag": "sphere_bundle3", "p": None, "q": None,
+                "notes": ["link of the zero section in the gluing data"]},
+        "result": {"tag": "s5", "p": None, "q": None,
+                   "notes": ["canonical circle bundle over the plane",
+                             "sublink over a conic: L(2,1) = RP3"]},
+        "display": "S5",
+        "sublink": {"tag": "lens", "p": 2, "q": 1, "notes": []},
+        "sublink_display": "L(2,1) = RP3",
+    },
+    ("3", "2", "nontrivial"): {
+        "subcommand": "links",
+        "params": {"m": 3, "k": 2, "surface": "nontrivial"},
+        "pass": True,
+        "trace": [
+            {"rule": "adjacent-link-stated-value",
+             "space": {"tag": "lens", "p": 9, "q": 1,
+                       "notes": ["stated adjacent link on the blow-up"]}}],
+        "result": {"tag": "lens", "p": 9, "q": 1,
+                   "notes": ["stated adjacent link on the blow-up"]},
+        "display": "L(9,1)",
+        "diagnostic": {
+            "rule": "self-intersection-plus-two-gluing-degree",
+            "degree": -3,
+            "space": {"tag": "lens", "p": 3, "q": 1, "notes": []},
+            "agrees_with_stated": False},
+    },
+}
+
 
 class TestLinks:
+    @pytest.mark.parametrize("m, k, surface", sorted(LINKS_REPORTS))
+    def test_whole_report(self, capsys, m, k, surface):
+        code, report = run_json(
+            capsys, ["links", "--m", m, "--k", k, "--surface", surface])
+        expected = LINKS_REPORTS[m, k, surface]
+        assert code == 0
+        assert report == expected
+        assert list(report) == list(expected)
+
+    def test_digit_limit(self, capsys):
+        # p is 2k or 4k + 1, so m and k are held to `reports.MAX_DIGITS`
+        limit = reports.MAX_DIGITS
+        big = 5 * 10**4299
+        for surface in ("trivial", "nontrivial"):
+            for k in (big, 10**limit):
+                argv = ["links", "--m", str(k + 1), "--k", str(k),
+                        "--surface", surface]
+                assert cli.main(argv) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (f"error: m or k has more than {limit} "
+                                        "digits, the limit\n")
+            k = 5 * 10**(limit - 1)
+            code, report = run_json(capsys, ["links", "--m", str(k + 1),
+                                             "--k", str(k), "--surface", surface])
+            assert code == 0
+            assert report["result"]["p"] == (2 * k if surface == "trivial"
+                                             else 4 * k + 1)
+            assert cli.main(["links", "--m", str(k + 1), "--k", str(k),
+                             "--surface", surface]) == 0
+            assert capsys.readouterr().err == ""
+
     def test_adjacent(self, capsys):
         code, report = run_json(capsys, ["links", "--m", "2", "--k", "1"])
         assert code == 0
@@ -151,7 +274,7 @@ class TestPlumb:
         # CPython writes no int of more than 4,300 digits as text: a chain
         # whose lens parameter p is longer, and an entry that long, are
         # refused with the tool's own limit
-        limit = reports.MAX_LENS_DIGITS
+        limit = reports.MAX_DIGITS
         for argv, err in (
                 (["plumb", "--chain=" + ",".join(["-100000"] * 1000)],
                  f"lens parameter p of this chain has more than {limit} "
