@@ -24,33 +24,18 @@ from .bundles import gluing_bundle, v2_bundle
 # normal-form spaces
 
 
-class Space:
+class Space(namedtuple("Space", "tag p q notes eulers",
+                       defaults=(None, None, (), ()))):
     """Normal form of a link computation.
 
     Tags: "lens" (with p, q), "sphere_bundle3" (the link of a zero section),
     "pullback_canonical" (the circle bundle over the blow-up of the plane
     pulled back from the plane) and "s5".  The conventions L(0,1) = S2 x S1,
     L(1,0) = S3 and L(2,1) = RP3 are applied in `display` and
-    `lens_equivalent`, not by retagging.  `notes` and `eulers` take no part
-    in equality.
+    `lens_equivalent`, not by retagging.
     """
 
-    __slots__ = ("tag", "p", "q", "notes", "eulers")
-
-    def __init__(self, tag: str, p: int | None = None, q: int | None = None,
-                 notes: tuple[str, ...] = (),
-                 eulers: tuple[tuple[str, int], ...] = ()):
-        self.tag, self.p, self.q = tag, p, q
-        self.notes, self.eulers = notes, eulers
-
-    def _key(self):
-        return self.tag, self.p, self.q
-
-    def __eq__(self, other):
-        return isinstance(other, Space) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    __slots__ = ()
 
     def euler_over(self, name: str) -> int:
         for key, value in self.eulers:
@@ -260,8 +245,8 @@ def link_adjacent(k: int) -> Space:
     return circle_bundle_space(gluing_bundle(k))
 
 
-#: Trace and results of the two-step link computation at the open end.
-Link20Result = namedtuple("Link20Result", "steps l_z link sublink")
+#: Trace and results of the two-step link at the open end, the link last.
+Link20Result = namedtuple("Link20Result", "steps l_z sublink")
 
 
 def link20_pipeline() -> Link20Result:
@@ -287,7 +272,7 @@ def link20_pipeline() -> Link20Result:
     final = collapse_exceptional(pulled)
     steps.append(("collapse-exceptional-fibers", final))
     sublink = circle_bundle_space(final.euler_over("conic"))
-    return Link20Result(tuple(steps), l_z, final, sublink)
+    return Link20Result(tuple(steps), l_z, sublink)
 
 
 #: Stated adjacent link on the blow-up surface, plus a diagnostic.

@@ -106,16 +106,10 @@ SUPPORTED_LINKS = ("m=k+1 with k>=1 (either surface)",
                    "m=2, k=0 (trivial surface)")
 
 
-class UnsupportedLinkError(ValueError):
-    def __init__(self, m, k, surface):
-        cases = "; ".join(SUPPORTED_LINKS)
-        super().__init__(
-            f"link for m={m}, k={k} on the {surface.name} surface "
-            f"is not derived here; supported cases: {cases}")
-
-
 def links_report(m: int, k: int, surface) -> dict:
-    """Normal form of the link of stratum m in the closure of stratum k."""
+    """Normal form of the link of stratum m in the closure of stratum k: each
+    case gives its `(rule, state)` steps, ending at the link, and the fields
+    written before and after the link."""
     from . import plumbing
     from .bundles import gluing_bundle
     from .homology import NONTRIVIAL, TRIVIAL
@@ -123,50 +117,46 @@ def links_report(m: int, k: int, surface) -> dict:
         raise ValueError("need m > k >= 0")
     if m >= 10**MAX_DIGITS:
         raise ValueError(f"m or k has more than {MAX_DIGITS} digits, the limit")
-    report = {
-        "subcommand": "links",
-        "params": {"m": m, "k": k, "surface": surface.name},
-        "pass": True,
-    }
+    before, after = {}, {}
     if surface is TRIVIAL and m == k + 1 and k >= 1:
-        space = plumbing.link_adjacent(k)
-        report["trace"] = [
-            {"rule": "gluing-bundle-degree", "bundle": gluing_bundle(k)},
-            {"rule": "circle-bundle-recognition", "space": space.to_json()},
-        ]
-        report["result"] = space.to_json()
-        report["display"] = space.display()
-        return report
-    if surface is TRIVIAL and (m, k) == (2, 0):
+        steps = [("gluing-bundle-degree", gluing_bundle(k)),
+                 ("circle-bundle-recognition", plumbing.link_adjacent(k))]
+    elif surface is TRIVIAL and (m, k) == (2, 0):
         run = plumbing.link20_pipeline()
-        trace = []
-        for rule, state in run.steps:
-            if isinstance(state, plumbing.Space):
-                trace.append({"rule": rule, "space": state.to_json()})
-            else:
-                trace.append({"rule": rule, "bundle": list(state)})
-        report["trace"] = trace
-        report["l_z"] = run.l_z.to_json()
-        report["result"] = run.link.to_json()
-        report["display"] = run.link.display()
-        report["sublink"] = run.sublink.to_json()
-        report["sublink_display"] = run.sublink.display()
-        return report
-    if surface is NONTRIVIAL and m == k + 1 and k >= 1:
+        steps = run.steps
+        before["l_z"] = run.l_z.to_json()
+        after["sublink"] = run.sublink.to_json()
+        after["sublink_display"] = run.sublink.display()
+    elif surface is NONTRIVIAL and m == k + 1 and k >= 1:
         run = plumbing.link_nontrivial(k)
-        report["trace"] = [
-            {"rule": "adjacent-link-stated-value", "space": run.space.to_json()},
-        ]
-        report["result"] = run.space.to_json()
-        report["display"] = run.space.display()
-        report["diagnostic"] = {
+        steps = [("adjacent-link-stated-value", run.space)]
+        after["diagnostic"] = {
             "rule": "self-intersection-plus-two-gluing-degree",
             "degree": run.derived_degree,
             "space": run.derived.to_json(),
             "agrees_with_stated": run.agrees,
         }
-        return report
-    raise UnsupportedLinkError(m, k, surface)
+    else:
+        raise ValueError(f"link for m={m}, k={k} on the {surface.name} "
+                         "surface is not derived here; supported cases: "
+                         + "; ".join(SUPPORTED_LINKS))
+    # a state is a `Space` (a tuple itself) or a bundle: an int or a pair
+    trace = [{"rule": rule, "space": state.to_json()}
+             if isinstance(state, plumbing.Space) else
+             {"rule": rule,
+              "bundle": state if isinstance(state, int) else list(state)}
+             for rule, state in steps]
+    link = steps[-1][1]
+    return {
+        "subcommand": "links",
+        "params": {"m": m, "k": k, "surface": surface.name},
+        "pass": True,
+        "trace": trace,
+        **before,
+        "result": link.to_json(),
+        "display": link.display(),
+        **after,
+    }
 
 
 # ---------------------------------------------------------------------------

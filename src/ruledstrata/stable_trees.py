@@ -95,8 +95,8 @@ def _shapes_all(d: int, slot: tuple = ()) -> tuple[tuple, ...]:
         for parts in _partitions(d - root_deg):
             if root_deg == 0 and len(parts) < 2:
                 continue
-            for combo in _child_multisets(parts, slot):
-                out.append((root_deg, *slot, combo))
+            for combo in _multisets(parts, lambda v: _shapes_all(v, slot)):
+                out.append((root_deg, *slot, tuple(sorted(combo))))
     return tuple(sorted(set(out)))
 
 
@@ -105,14 +105,17 @@ def _pointed_shapes_all(d: int, ghost_path: bool = True) -> tuple[tuple, ...]:
     """Admissible pointed shapes of degree d; `ghost_path` says whether every
     ancestor of the shape's root is a ghost (vacuously true at the branch root).
     """
+    def unmarked(v):
+        return _shapes_all(v, (False,))
+
     out = []
     for root_deg in range(d, -1, -1):
         for parts in _partitions(d - root_deg):
             # point on this component (one special point), never on a ghost
             # reached from the branch root through ghosts only
             if root_deg > 0 or (parts and not ghost_path):
-                for combo in _child_multisets(parts, (False,)):
-                    out.append((root_deg, True, combo))
+                for combo in _multisets(parts, unmarked):
+                    out.append((root_deg, True, tuple(sorted(combo))))
             # point in one child subtree
             if root_deg == 0 and len(parts) < 2:
                 continue
@@ -122,18 +125,19 @@ def _pointed_shapes_all(d: int, ghost_path: bool = True) -> tuple[tuple, ...]:
                 others = parts[:i] + parts[i + 1:]
                 for pointed_child in _pointed_shapes_all(
                         part, ghost_path and root_deg == 0):
-                    for combo in _child_multisets(others, (False,)):
+                    for combo in _multisets(others, unmarked):
                         out.append((root_deg, False,
                                     tuple(sorted((pointed_child,) + combo))))
     return tuple(sorted(set(out)))
 
 
-def _child_multisets(parts: tuple[int, ...], slot: tuple):
-    """Multisets of unpointed shapes realizing the given child degrees."""
-    pools = [list(itertools.combinations_with_replacement(_shapes_all(v, slot), m))
+def _multisets(parts, pool):
+    """For each run of equal degrees v in `parts`, a multiset of shapes from
+    `pool(v)`: every choice, concatenated in the order of `parts`."""
+    pools = [list(itertools.combinations_with_replacement(pool(v), m))
              for v, m in _runs(parts)]
     for pick in itertools.product(*pools):
-        yield tuple(sorted(itertools.chain.from_iterable(pick)))
+        yield tuple(itertools.chain.from_iterable(pick))
 
 
 def branch_shapes(d: int, max_extra_nodes: int | None = 3,
@@ -236,7 +240,8 @@ def enumerate_strata(n: int, max_branch_depth: int | None = 3,
             if d0 is not None:
                 rest.remove(d0)
             marked = () if ps is None else (ps,)
-            for combo in _assign_shapes(_runs(rest), max_branch_depth):
+            for combo in _multisets(
+                    rest, lambda v: branch_shapes(v, max_branch_depth)):
                 edges, auts = zip(*map(_shape_counts, combo + marked))
                 dim = 4 * n - 2 * p - 2 * sum(edges) - 2 * len(marked)
                 iso = math.prod(auts)
@@ -244,12 +249,3 @@ def enumerate_strata(n: int, max_branch_depth: int | None = 3,
                                              pointed_part=d0, pointed_shape=ps))
     out.sort(key=lambda s: (-s.dimension, s.parts, s.shapes))
     return out
-
-
-def _assign_shapes(groups, max_depth):
-    pools = []
-    for value, mult in groups:
-        pool = branch_shapes(value, max_depth)
-        pools.append(list(itertools.combinations_with_replacement(pool, mult)))
-    for pick in itertools.product(*pools):
-        yield tuple(itertools.chain.from_iterable(pick))

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from ruledstrata import cli, projective_maps, reports
 from ruledstrata.projective_maps import verify_maps_report
 from ruledstrata.reports import (
-    UnsupportedLinkError,
     links_report,
     plumb_report,
     strata_report,
@@ -181,6 +180,52 @@ LINKS_REPORTS = {
 }
 
 
+#: The table form of the same reports, pinned as whole text.
+LINKS_TABLES = {
+    ("3", "2", "trivial"): (
+        "# links  {'m': 3, 'k': 2, 'surface': 'trivial'}\n"
+        "trace: [{'rule': 'gluing-bundle-degree', 'bundle': -4}, "
+        "{'rule': 'circle-bundle-recognition', 'space': {'tag': 'lens', "
+        "'p': 4, 'q': 1, 'notes': []}}]\n"
+        "result: {'tag': 'lens', 'p': 4, 'q': 1, 'notes': []}\n"
+        "display: L(4,1)\n"
+        "pass: True\n"),
+    ("2", "0", "trivial"): (
+        "# links  {'m': 2, 'k': 0, 'surface': 'trivial'}\n"
+        "trace: [{'rule': 'gluing-bundle-over-two-fiber-stratum', "
+        "'bundle': [-2, 0]}, {'rule': 'attaching-twist', 'bundle': [-3, "
+        "-1]}, {'rule': 'orbifold-plumbing-regular-fiber', 'bundle': [-1, "
+        "0]}, {'rule': 'blowdown-pullback', "
+        "'space': {'tag': 'pullback_canonical', 'p': None, 'q': None, "
+        "'notes': ['circle bundle over the one-point blow-up of the plane', "
+        "'pulled back from the canonical circle bundle under the blowdown']}}, "
+        "{'rule': 'collapse-exceptional-fibers', 'space': {'tag': 's5', "
+        "'p': None, 'q': None, "
+        "'notes': ['canonical circle bundle over the plane', "
+        "'sublink over a conic: L(2,1) = RP3']}}]\n"
+        "l_z: {'tag': 'sphere_bundle3', 'p': None, 'q': None, "
+        "'notes': ['link of the zero section in the gluing data']}\n"
+        "result: {'tag': 's5', 'p': None, 'q': None, "
+        "'notes': ['canonical circle bundle over the plane', "
+        "'sublink over a conic: L(2,1) = RP3']}\n"
+        "display: S5\n"
+        "sublink_display: L(2,1) = RP3\n"
+        "pass: True\n"),
+    ("3", "2", "nontrivial"): (
+        "# links  {'m': 3, 'k': 2, 'surface': 'nontrivial'}\n"
+        "trace: [{'rule': 'adjacent-link-stated-value', "
+        "'space': {'tag': 'lens', 'p': 9, 'q': 1, "
+        "'notes': ['stated adjacent link on the blow-up']}}]\n"
+        "result: {'tag': 'lens', 'p': 9, 'q': 1, "
+        "'notes': ['stated adjacent link on the blow-up']}\n"
+        "display: L(9,1)\n"
+        "diagnostic: {'rule': 'self-intersection-plus-two-gluing-degree', "
+        "'degree': -3, 'space': {'tag': 'lens', 'p': 3, 'q': 1, "
+        "'notes': []}, 'agrees_with_stated': False}\n"
+        "pass: True\n"),
+}
+
+
 class TestLinks:
     @pytest.mark.parametrize("m, k, surface", sorted(LINKS_REPORTS))
     def test_whole_report(self, capsys, m, k, surface):
@@ -190,6 +235,13 @@ class TestLinks:
         assert code == 0
         assert report == expected
         assert list(report) == list(expected)
+
+    @pytest.mark.parametrize("m, k, surface", sorted(LINKS_TABLES))
+    def test_whole_table(self, capsys, m, k, surface):
+        code = cli.main(["links", "--m", m, "--k", k, "--surface", surface])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out == LINKS_TABLES[m, k, surface]
 
     def test_digit_limit(self, capsys):
         # p is 2k or 4k + 1, so m and k are held to `reports.MAX_DIGITS`
@@ -235,9 +287,9 @@ class TestLinks:
         err = capsys.readouterr().err
         assert code == 2
         assert "m=k+1" in err and "m=2, k=0" in err
-        with pytest.raises(UnsupportedLinkError):
+        with pytest.raises(ValueError, match="is not derived here"):
             links_report(4, 1, surface_by_name("trivial"))
-        with pytest.raises(UnsupportedLinkError):
+        with pytest.raises(ValueError, match="is not derived here"):
             links_report(2, 0, surface_by_name("nontrivial"))
 
     def test_bad_ordering(self, capsys):
@@ -422,6 +474,29 @@ class TestDecompositions:
             capsys, ["decompositions", "--n", "2", "--pointed"])
         assert code == 0
         assert all(row["inferred"] for row in report["rows"])
+
+    def test_depth_audit(self, capsys):
+        # any negative depth is no bound, shown as null; a 4,000-digit depth
+        # bounds nothing and is echoed; 5,000 digits are beyond what `int`
+        # reads from text, so argparse refuses them
+        huge = "9" * 4000
+        for flags in ([], ["--pointed"]):
+            argv = ["decompositions", "--n", "4", *flags, "--depth"]
+            code, unbounded = run_json(capsys, argv + ["-1"])
+            assert code == 0 and unbounded["params"]["depth"] is None
+            code, negative = run_json(capsys, argv + ["-7"])
+            assert code == 0 and negative == unbounded
+            code, wide = run_json(capsys, argv + [huge])
+            assert code == 0 and wide["rows"] == unbounded["rows"]
+            assert wide["params"]["depth"] == int(huge)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decompositions", "--n", "4", "--depth", "9" * 5000])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ruledstrata decompositions")
+        assert "argument --depth: invalid int value" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestParser:

@@ -193,15 +193,16 @@ class TestLinks:
         run = link20_pipeline()
         assert [s for _, s in run.steps[:3]] == [(-2, 0), (-3, -1), (-1, 0)]
         assert run.steps[3][1].tag == "pullback_canonical"
-        assert run.link.tag == "s5"
+        assert run.steps[-1][1].tag == "s5"
         assert run.l_z.tag == "sphere_bundle3"
         assert sum(run.steps[2][1]) == -1
         assert lens_equivalent(run.sublink, RP3)
 
     def test_link_nontrivial(self):
         res = link_nontrivial(1)
-        assert res.space == lens_space(5, 1)
-        assert link_nontrivial(2).space == lens_space(9, 1)
+        stated = ("stated adjacent link on the blow-up",)
+        assert res.space == lens_space(5, 1, notes=stated)
+        assert link_nontrivial(2).space == lens_space(9, 1, notes=stated)
         # the diagnostic derivation disagrees and says so
         assert res.derived_degree == -1
         assert lens_equivalent(res.derived, S3)
@@ -239,7 +240,7 @@ class TestLensEquivalence:
     def test_non_lens_rejected(self):
         run = link20_pipeline()
         with pytest.raises(ValueError):
-            lens_equivalent(run.link, RP3)
+            lens_equivalent(run.steps[-1][1], RP3)
 
 
 def _gcd(a, b):
