@@ -30,14 +30,9 @@ class RuledSurface(namedtuple("RuledSurface",
 
     def h2(self, a: int, b: int) -> "H2Class":
         """Return the class a*e1 + b*e2 in this surface's basis."""
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise TypeError("homology coefficients must be exact integers")
         return H2Class(self, (a, b))
-
-    @property
-    def tangent_chern_class(self) -> "H2Class":
-        return self.h2(*self.tangent_chern)
-
-    def __repr__(self):
-        return f"RuledSurface({self.name})"
 
 
 TRIVIAL = RuledSurface(
@@ -58,23 +53,11 @@ NONTRIVIAL = RuledSurface(
 SURFACES = {s.name: s for s in (TRIVIAL, NONTRIVIAL)}
 
 
-class H2Class:
-    """An integral second homology class in the surface's fixed basis."""
+class H2Class(namedtuple("H2Class", "surface coeffs")):
+    """An integral second homology class in the surface's fixed basis; build
+    it with `RuledSurface.h2`."""
 
-    __slots__ = ("surface", "coeffs")
-
-    def __init__(self, surface: RuledSurface, coeffs: tuple[int, int]):
-        a, b = coeffs
-        if not (isinstance(a, int) and isinstance(b, int)):
-            raise TypeError("homology coefficients must be exact integers")
-        self.surface, self.coeffs = surface, coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, H2Class) and self.surface == other.surface
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.surface, self.coeffs))
+    __slots__ = ()
 
     def __repr__(self):
         names = self.surface.basis_names
@@ -94,42 +77,38 @@ class H2Class:
         return s[1:] if s.startswith("+") else s
 
 
-def _require_same_surface(c1: H2Class, c2: H2Class):
-    if c1.surface != c2.surface:
-        raise ValueError("classes live on different surfaces")
-
-
 def intersect(c1: H2Class, c2: H2Class) -> int:
     """Intersection number of two classes on the same surface.
 
     Symmetric and bilinear over the integers; e.g. on the product surface
     (A - kF) . (A - mF) = -(k + m).
     """
-    _require_same_surface(c1, c2)
+    if c1.surface != c2.surface:
+        raise ValueError("classes live on different surfaces")
     m = c1.surface.pairing
     (a1, b1), (a2, b2) = c1.coeffs, c2.coeffs
     return (a1 * (m[0][0] * a2 + m[0][1] * b2)
             + b1 * (m[1][0] * a2 + m[1][1] * b2))
 
 
-class SymplecticForm:
+class SymplecticForm(namedtuple("SymplecticForm", "surface lam")):
     """The normalized form with area 1 on the fiber, parametrized by lambda.
 
     On the product surface the base class A has area 1 + lambda with
     lambda >= 0.  On the blow-up the line L has area 1 + lambda and the
-    exceptional sphere E has area lambda > 0.
+    exceptional sphere E has area lambda > 0.  `lam` is a `Fraction`.
     """
 
-    __slots__ = ("surface", "lam")
+    __slots__ = ()
 
-    def __init__(self, surface: RuledSurface, lam):
-        self.surface, self.lam = surface, Fraction(lam)
+    def __new__(cls, surface: RuledSurface, lam):
+        lam = Fraction(lam)
         if surface is TRIVIAL:
-            if self.lam < 0:
+            if lam < 0:
                 raise ValueError("lambda must be >= 0 on the product surface")
-        else:
-            if self.lam <= 0:
-                raise ValueError("lambda must be > 0 on the blow-up")
+        elif lam <= 0:
+            raise ValueError("lambda must be > 0 on the blow-up")
+        return super().__new__(cls, surface, lam)
 
 
 def area(form: SymplecticForm, c: H2Class) -> Fraction:
@@ -176,7 +155,7 @@ def first_stratum(surface: RuledSurface) -> int:
 
 def chern_pairing(c: H2Class) -> int:
     """Pairing of the tangent bundle's first Chern class with c."""
-    return intersect(c.surface.tangent_chern_class, c)
+    return intersect(c.surface.h2(*c.surface.tangent_chern), c)
 
 
 def strata_codim(surface: RuledSurface, k: int) -> int:

@@ -330,15 +330,18 @@ def random_cover_line_rows(rng, n: int, s1: int, s2: int) -> np.ndarray:
     return _draw_until(rng, n, draw, lambda rows: _row_max(_modulus(rows)) > 0)
 
 
-def random_separated_pair_rows(rng, n: int, min_gap: float = 1e-3
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    """n pairs of points of the sphere at least `min_gap` apart, as two
+#: The least projective distance between the two points of a sampled pair.
+MIN_PAIR_GAP = 1e-3
+
+
+def random_separated_pair_rows(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n pairs of points of the sphere at least `MIN_PAIR_GAP` apart, as two
     (n, 2) arrays."""
     def draw(rng, m):
         return np.hstack([random_proj_rows(rng, m, 2),
                           random_proj_rows(rng, m, 2)])
     pairs = _draw_until(rng, n, draw, lambda rows: proj_residual_rows(
-        rows[:, :2], rows[:, 2:]) >= min_gap)
+        rows[:, :2], rows[:, 2:]) >= MIN_PAIR_GAP)
     return pairs[:, :2], pairs[:, 2:]
 
 

@@ -64,8 +64,6 @@ def parse_lambda(text: str):
 
 def strata_report(lam, surface) -> dict:
     """Admissible strata with areas, codimensions and next-link dimensions."""
-    from fractions import Fraction
-
     from . import homology
     form = homology.SymplecticForm(surface, lam)
     count = homology.admissible_count(form)
@@ -79,7 +77,7 @@ def strata_report(lam, surface) -> dict:
         row = {
             "k": k,
             "class": repr(cls),
-            "area": str(Fraction(homology.area(form, cls))),
+            "area": str(homology.area(form, cls)),
             "codim": homology.strata_codim(surface, k),
             "link_dim": homology.link_dimension(k + 1, k),
             "rule": "area-positivity/stratum-codimension",
@@ -93,7 +91,7 @@ def strata_report(lam, surface) -> dict:
         rows.append(row)
     return {
         "subcommand": "strata",
-        "params": {"lambda": str(Fraction(lam)), "surface": surface.name},
+        "params": {"lambda": str(form.lam), "surface": surface.name},
         "rows": rows,
         "pass": True,
     }

@@ -81,11 +81,13 @@ def _partitions(n: int, cap: int | None = None):
 # may not sit on a ghost whose whole path to the branch root consists of
 # ghosts (the root's image is the attach point on the stem curve, away from
 # the incidence point).  `_pointed_shapes_all` generates only the admissible
-# placements.
+# placements; it and `enumerate_strata` pick the branch that carries the
+# point by one generator, `_pointed_choices`.  No generator yields a shape
+# twice, and each list is built once per degree and `slot` or `ghost_path`.
 
 
 @lru_cache(maxsize=None)
-def _shapes_all(d: int, slot: tuple = ()) -> tuple[tuple, ...]:
+def _shapes_all(d: int, slot: tuple) -> tuple[tuple, ...]:
     """Unpointed shapes of degree d with nodes (degree, *slot, children).
 
     `slot` is () for plain shapes and (False,) inside a pointed shape.
@@ -97,11 +99,11 @@ def _shapes_all(d: int, slot: tuple = ()) -> tuple[tuple, ...]:
                 continue
             for combo in _multisets(parts, lambda v: _shapes_all(v, slot)):
                 out.append((root_deg, *slot, tuple(sorted(combo))))
-    return tuple(sorted(set(out)))
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
-def _pointed_shapes_all(d: int, ghost_path: bool = True) -> tuple[tuple, ...]:
+def _pointed_shapes_all(d: int, ghost_path: bool) -> tuple[tuple, ...]:
     """Admissible pointed shapes of degree d; `ghost_path` says whether every
     ancestor of the shape's root is a ghost (vacuously true at the branch root).
     """
@@ -119,16 +121,23 @@ def _pointed_shapes_all(d: int, ghost_path: bool = True) -> tuple[tuple, ...]:
             # point in one child subtree
             if root_deg == 0 and len(parts) < 2:
                 continue
-            for i, part in enumerate(parts):
-                if i > 0 and parts[i - 1] == part:
-                    continue  # symmetric choice
-                others = parts[:i] + parts[i + 1:]
-                for pointed_child in _pointed_shapes_all(
-                        part, ghost_path and root_deg == 0):
-                    for combo in _multisets(others, unmarked):
-                        out.append((root_deg, False,
-                                    tuple(sorted((pointed_child,) + combo))))
-    return tuple(sorted(set(out)))
+            for _, child, others in _pointed_choices(
+                    parts, lambda v: _pointed_shapes_all(
+                        v, ghost_path and root_deg == 0)):
+                for combo in _multisets(others, unmarked):
+                    out.append((root_deg, False,
+                                tuple(sorted((child,) + combo))))
+    return tuple(sorted(out))
+
+
+def _pointed_choices(parts, pool):
+    """Each way to put the marked point on one of the branches `parts`:
+    (its degree v, a pointed shape from `pool(v)`, the other parts).  Equal
+    parts are one choice."""
+    for i, part in enumerate(parts):
+        if i == 0 or parts[i - 1] != part:
+            for shape in pool(part):
+                yield part, shape, parts[:i] + parts[i + 1:]
 
 
 def _multisets(parts, pool):
@@ -149,7 +158,8 @@ def branch_shapes(d: int, max_extra_nodes: int | None = 3,
     deep degenerations.  Pass None for the full list.  With `pointed` the
     shapes carry the marked point.
     """
-    shapes = list(_pointed_shapes_all(d) if pointed else _shapes_all(d))
+    shapes = list(_pointed_shapes_all(d, True) if pointed
+                  else _shapes_all(d, ()))
     if max_extra_nodes is None:
         return shapes
     return [s for s in shapes if _shape_counts(s)[0] <= max_extra_nodes]
@@ -225,27 +235,23 @@ def enumerate_strata(n: int, max_branch_depth: int | None = 3,
     over a fixed base point, which pins that branch's attach point and
     drops the dimension by 2 more; this variant is inferred, not pinned.
     """
-    if n < 1:
-        return []
+    def strata(dec, rest, marked=(), d0=None):
+        # `rest` are the unpointed branches; `marked` holds the pointed
+        # shape, if any, and d0 its degree
+        for combo in _multisets(
+                rest, lambda v: branch_shapes(v, max_branch_depth)):
+            edges, auts = zip(*map(_shape_counts, combo + marked))
+            dim = 4 * n - 2 * len(dec) - 2 * sum(edges) - 2 * len(marked)
+            yield StratumDescriptor(dec, combo, dim, math.prod(auts),
+                                    d0, *marked)
+
     out = []
     for dec in enumerate_decompositions(n):
-        p = len(dec)
-        if pointed:
-            choices = [(d0, ps) for d0, _ in _runs(dec)
-                       for ps in branch_shapes(d0, max_branch_depth, pointed=True)]
-        else:
-            choices = [(None, None)]
-        for d0, ps in choices:
-            rest = list(dec)
-            if d0 is not None:
-                rest.remove(d0)
-            marked = () if ps is None else (ps,)
-            for combo in _multisets(
-                    rest, lambda v: branch_shapes(v, max_branch_depth)):
-                edges, auts = zip(*map(_shape_counts, combo + marked))
-                dim = 4 * n - 2 * p - 2 * sum(edges) - 2 * len(marked)
-                iso = math.prod(auts)
-                out.append(StratumDescriptor(dec, combo, dim, iso,
-                                             pointed_part=d0, pointed_shape=ps))
+        if not pointed:
+            out += strata(dec, dec)
+            continue
+        for d0, ps, rest in _pointed_choices(dec, lambda v: branch_shapes(
+                v, max_branch_depth, pointed=True)):
+            out += strata(dec, rest, (ps,), d0)
     out.sort(key=lambda s: (-s.dimension, s.parts, s.shapes))
     return out

@@ -182,7 +182,7 @@ def test_criterion_08_branch_point_round_trip():
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(1000):
-        x, y = (r[0] for r in random_separated_pair_rows(rng, 1, min_gap=1e-3))
+        x, y = (r[0] for r in random_separated_pair_rows(rng, 1))
         got = critical_values(map_from_critical_values(x, y))
         worst = max(worst, unordered_pair_residual(got.values, (x, y)))
     ok = worst < 1e-7

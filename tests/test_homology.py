@@ -28,6 +28,23 @@ E = NONTRIVIAL.h2(0, 1)
 coeff = st.integers(min_value=-50, max_value=50)
 
 
+def test_classes_and_forms_equal_by_fields():
+    assert TRIVIAL.h2(1, -2) == TRIVIAL.h2(1, -2)
+    assert hash(TRIVIAL.h2(1, -2)) == hash(TRIVIAL.h2(1, -2))
+    assert TRIVIAL.h2(1, -2) != NONTRIVIAL.h2(1, -2)
+    assert SymplecticForm(TRIVIAL, 1) == SymplecticForm(TRIVIAL, Fraction(1))
+    assert SymplecticForm(TRIVIAL, 1) != SymplecticForm(NONTRIVIAL, 1)
+    assert SymplecticForm(TRIVIAL, 1).lam == Fraction(1)
+
+
+@pytest.mark.parametrize("a", [1.0, Fraction(1)])
+def test_classes_need_exact_integers(a):
+    with pytest.raises(TypeError):
+        TRIVIAL.h2(a, 0)
+    with pytest.raises(TypeError):
+        NONTRIVIAL.h2(0, a)
+
+
 def test_pairing_examples():
     assert intersect(TRIVIAL.h2(1, -1), TRIVIAL.h2(1, -2)) == -3
     assert intersect(A, A) == 0

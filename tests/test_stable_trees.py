@@ -17,6 +17,8 @@ from oracles import (
 )
 from ruledstrata.homology import TRIVIAL
 from ruledstrata.stable_trees import (
+    _pointed_shapes_all,
+    _shapes_all,
     branch_shapes,
     enumerate_decompositions,
     enumerate_strata,
@@ -216,6 +218,17 @@ class TestEnumerateStrata:
                                   for s in set(desc.shapes))
                 assert (combinatorial_isotropy(stratum_tree(desc, n))
                         == desc.isotropy * swaps)
+
+    def test_each_degree_cached_once(self):
+        # the top-level call and the recursion share one cache entry per
+        # degree: plain shapes of degrees 1..6, and pointed shapes of 1..6
+        # at the branch root plus 1..5 below a nonconstant component
+        _shapes_all.cache_clear()
+        _pointed_shapes_all.cache_clear()
+        enumerate_strata(6, None)
+        assert _shapes_all.cache_info().currsize == 6
+        enumerate_strata(6, None, pointed=True)
+        assert _pointed_shapes_all.cache_info().currsize == 11
 
     def test_json_schema(self):
         for desc in enumerate_strata(2):
