@@ -20,6 +20,15 @@ import sys
 #: The most samples verify-maps takes (about 15 s of work).
 MAX_SAMPLES = 10**6
 
+#: The most decimal digits of an integer the CLI reads: a chain entry and the
+#: lens parameter p of `plumb`, each number in `strata`'s lambda, its exponent
+#: and its numerator and denominator, `links`' m and k, and `verify-maps`'
+#: seed.  CPython writes no int of more than 4,300 digits as text; the largest
+#: written from inputs within this limit, such as an area of 1 + lambda - k,
+#: stays below that.  It is defined here, not in `reports`, so that
+#: verify-maps checks its seed without loading the report builders.
+MAX_DIGITS = 4000
+
 
 def check_verify_maps_args(samples: int, seed: int, tol: float):
     """Raise ValueError on verify-maps arguments out of range.  It needs no
@@ -32,6 +41,8 @@ def check_verify_maps_args(samples: int, seed: int, tol: float):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if seed >= 10**MAX_DIGITS:
+        raise ValueError(f"seed has more than {MAX_DIGITS} digits, the limit")
 
 
 def build_parser() -> argparse.ArgumentParser:

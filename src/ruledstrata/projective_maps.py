@@ -5,8 +5,9 @@ Everything here is double-precision complex arithmetic with projective,
 scale-invariant comparisons: two homogeneous tuples agree when all their
 2x2 minors vanish once each tuple is divided by its largest modulus, and a
 point satisfies a homogeneous equation when the equation is small at the
-point so divided.  Random sampling takes an explicit generator so runs are
-reproducible per seed.
+point so divided.  Random sampling takes an explicit generator: the report
+draws each row from its own counter-based `Sampler` stream, keyed by the
+seed and the row's check, so runs are reproducible per seed.
 
 Each model has one form here, on the rows of an (n, k) complex array,
 named with a `_rows` suffix; `verify_maps_report` with its `VERIFY_CHECKS`
@@ -18,6 +19,7 @@ is the reference in the test suite's `tests/oracles.py`.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -76,6 +78,11 @@ def _unit_rows(a) -> np.ndarray:
     return (a.view(float) / scale[:, None]).view(complex)
 
 
+#: The index pairs (i, j), i < j, of the 2x2 minors of k-coordinate rows, by
+#: k, for the widths the models use; other widths build theirs per call.
+_MINORS = {k: np.triu_indices(k, 1) for k in range(1, 5)}
+
+
 def proj_residual_rows(x, y) -> np.ndarray:
     """`proj_residual` of each pair of rows of two (n, k) arrays.
 
@@ -86,7 +93,8 @@ def proj_residual_rows(x, y) -> np.ndarray:
     x, y = _unit_rows(x), _unit_rows(y)
     if x.shape != y.shape:
         raise ValueError("length mismatch")
-    i, j = np.triu_indices(x.shape[1], 1)
+    k = x.shape[1]
+    i, j = _MINORS[k] if k in _MINORS else np.triu_indices(k, 1)
     return _row_max(_modulus(_mul(x[:, i], y[:, j]) - _mul(x[:, j], y[:, i])))
 
 
@@ -283,6 +291,79 @@ def orbit_space_map_rows(pts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # seeded samplers
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def splitmix64(key: int, start: int, n: int) -> np.ndarray:
+    """The SplitMix64 words of stream `key` at counters start + 1, ...,
+    start + n (Steele, Lea & Flood, OOPSLA 2014): word c is the mix of
+    key + c * gamma, modulo 2^64, so key 0 gives the generator's reference
+    sequence from seed 0."""
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(key)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+class Sampler:
+    """A seeded stream of doubles, drawn by `splitmix64` on a counter.
+
+    The stream's key is 64 bits of stdlib `random` seeded with the string
+    "seed/name", so each (seed, name) gives its own stream, whatever is drawn
+    from the others, and no numpy.random is loaded.  `uniform` and
+    `standard_normal` take the arguments of the numpy Generator methods of
+    those names, as the samplers below call them, so those take either.
+    `standard_normal` runs numpy's `log`, `cos` and `sin`, whose last bits
+    may differ between numpy builds and CPUs.
+    """
+
+    __slots__ = ("key", "count")
+
+    def __init__(self, seed: int, name: str):
+        self.key = random.Random(f"{seed}/{name}").getrandbits(64)
+        self.count = 0
+
+    def words(self, n: int) -> np.ndarray:
+        """The next n words of the stream."""
+        out = splitmix64(self.key, self.count, n)
+        self.count += n
+        return out
+
+    def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
+        """n doubles lo + (hi - lo) u, u in [0, 1) from the top 53 bits of
+        one word.  As with numpy's `uniform`, rounding may give hi itself for
+        some ranges, though not for [0, 2 pi)."""
+        return lo + (hi - lo) * ((self.words(n) >> np.uint64(11)) * 2.0**-53)
+
+    def standard_normal(self, shape: tuple) -> np.ndarray:
+        """Standard normals in the given shape, two from each word by the
+        Box-Muller transform of its 32-bit halves, the high half giving the
+        radius and the low half the angle.
+
+        The angle's cosine and sine are taken in single precision, where
+        numpy vectorizes them; in double precision they cost more than all
+        of numpy's own normals (10^5 verify-maps samples took 12% longer).
+        So a normal may be off its exact transform by up to 1e-6 times the
+        radius, which no check depends on: each computes in double precision
+        on the sample as drawn.
+        """
+        size = math.prod(shape)
+        w = self.words((size + 1) // 2)
+        radius = np.sqrt(-2.0 * np.log(((w >> np.uint64(32)) + 1) * 2.0**-32))
+        angle = ((w & np.uint64(0xFFFFFFFF)).astype(np.float32)
+                 * np.float32(2.0 * np.pi * 2.0**-32))
+        out = np.empty((len(w), 2))
+        out[:, 0] = radius * np.cos(angle)
+        out[:, 1] = radius * np.sin(angle)
+        return out.reshape(-1)[:size].reshape(shape)
+
 
 def random_proj_rows(rng, n: int, k: int) -> np.ndarray:
     """n random points of projective (k-1)-space as (n, k) rows of
@@ -406,11 +487,11 @@ def _line_preimages(i):
     return draw
 
 
-#: One entry per verify-maps row, in the order the seeded stream is drawn:
-#: (check, rule, threshold or None for the requested tolerance, sample cap
-#: or None, draws).  Each draw maps the generator and a sample count m to
-#: the m residuals of m fresh samples; a row with several draws covers one
-#: family each, in turn.
+#: One entry per verify-maps row, in report order: (check, rule, threshold
+#: or None for the requested tolerance, sample cap or None, draws).  Each
+#: draw maps the row's generator and a sample count m to the m residuals of
+#: m fresh samples; a row with several draws covers one family each, in turn,
+#: from the one stream of its row.
 VERIFY_CHECKS = (
     ("h-symmetry", "factor-swap-symmetry", None, None, [_h_symmetry]),
     ("h-diagonal-on-quadric", "diagonal-image-quadric", None, None,
@@ -437,7 +518,8 @@ VERIFY_CHECKS = (
 def verify_maps_report(samples: int, seed: int, tol: float) -> dict:
     """Residual report for the explicit projective models.
 
-    One row per `VERIFY_CHECKS` entry, each with the sample count, the
+    One row per `VERIFY_CHECKS` entry, drawn from its own `Sampler` stream
+    keyed by the seed and the row's check, each with the sample count, the
     worst relative residual seen, a pass flag at that row's tolerance and
     `worstSample`, the 0-based index of the worst draw counted family by
     family (the first of equal worst ones; a NaN residual counts as worst).
@@ -446,9 +528,9 @@ def verify_maps_report(samples: int, seed: int, tol: float) -> dict:
     are drawn `VERIFY_CHUNK` at a time; more than `MAX_SAMPLES` raises.
     """
     check_verify_maps_args(samples, seed, tol)
-    rng = np.random.default_rng(seed)
     rows = []
     for check, rule, threshold, cap, draws in VERIFY_CHECKS:
+        rng = Sampler(seed, check)
         n = samples if cap is None else min(samples, cap)
         threshold = tol if threshold is None else threshold
         worst, worst_at = 0.0, 0

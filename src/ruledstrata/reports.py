@@ -10,13 +10,7 @@ Each builder imports the layers it calls, so a process loads only those.
 
 from __future__ import annotations
 
-
-#: The most decimal digits of an integer the CLI reads: a chain entry and the
-#: lens parameter p of `plumb`, each number in `strata`'s lambda, its exponent
-#: and its numerator and denominator, and `links`' m and k.  CPython writes
-#: no int of more than 4,300 digits as text; the largest written from inputs
-#: within this limit, such as an area of 1 + lambda - k, stays below that.
-MAX_DIGITS = 4000
+from .cli import MAX_DIGITS
 
 
 def surface_by_name(name: str):

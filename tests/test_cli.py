@@ -407,6 +407,22 @@ class TestVerifyMaps:
             verify_maps_report(5, -1, 1e-9)
         assert projective_maps.MAX_SAMPLES == cli.MAX_SAMPLES == 10**6
 
+    def test_seed_digit_limit(self, capsys):
+        # --seed is held to the digit limit of every integer the CLI reads,
+        # below the 4,300 digits at which argparse's int() gives up
+        limit = cli.MAX_DIGITS
+        assert limit == reports.MAX_DIGITS == 4000
+        argv = ["verify-maps", "--samples", "1", "--seed", "9" * limit, "--json"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main(["verify-maps", "--seed", "1" + "0" * limit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: seed has more than {limit} digits, "
+                                "the limit\n")
+        with pytest.raises(ValueError, match="4000 digits"):
+            verify_maps_report(1, 10**limit, 1e-9)
+
     def test_worst_sample_in_range(self, capsys):
         code, report = run_json(capsys, ["verify-maps", "--samples", "150"])
         assert code == 0

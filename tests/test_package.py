@@ -23,6 +23,11 @@ MODULE_PROBE = ("import sys; print(sorted(m for m in sys.modules "
 # to import.
 HEAVY_PROBE = ("import sys; print(sorted(m for m in sys.modules "
                "if m in ('dataclasses', 'inspect', 'numpy')))")
+# Prints which of numpy.random and secrets a fresh interpreter has loaded;
+# together they cost verify-maps about 6 MB of peak RSS, and its sampler
+# needs neither.
+RANDOM_PROBE = ("import sys; print(sorted(m for m in sys.modules "
+                "if m in ('numpy.random', 'secrets')))")
 # Prints the threads of the process and the BLAS thread count it asks for.
 BLAS_PROBE = ("import os; print(len(os.listdir('/proc/self/task')), "
               "os.environ.get('OPENBLAS_NUM_THREADS'))")
@@ -119,8 +124,9 @@ def test_bad_verify_maps_arguments_refused_before_numpy():
     argvs = [["verify-maps", "--samples", "20", "--tol", "nan", "--json"],
              ["verify-maps", "--samples", "20", "--tol", "-1"],
              ["verify-maps", "--seed", "-1"],
-             ["verify-maps", "--samples", "1000001", "--json"]]
-    assert run_cli_fresh(argvs) == ["[2, 2, 2, 2]", "[]"]
+             ["verify-maps", "--samples", "1000001", "--json"],
+             ["verify-maps", "--seed", "1" + "0" * cli.MAX_DIGITS]]
+    assert run_cli_fresh(argvs) == ["[2, 2, 2, 2, 2]", "[]"]
 
 
 def test_reports_import_loads_no_numpy():
@@ -131,6 +137,16 @@ def test_verify_maps_loads_numpy():
     # the positive case: the probe sees the numeric modules when they load
     assert run_cli_fresh([["verify-maps", "--samples", "5"]]) == [
         "[0]", "['numpy', 'ruledstrata.projective_maps']"]
+
+
+def test_verify_maps_loads_no_numpy_random():
+    # the report draws from its own counter streams, in JSON and table form
+    argvs = [["verify-maps", "--samples", "5", "--json"],
+             ["verify-maps", "--samples", "5"]]
+    assert run_cli_fresh(argvs, RANDOM_PROBE) == ["[0, 0]", "[]"]
+    # the positive case: the probe sees both when numpy.random loads
+    assert run_fresh("import numpy.random\n" + RANDOM_PROBE) == [
+        "['numpy.random', 'secrets']"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

@@ -28,12 +28,14 @@ from oracles import (
     weighted_circle_orbit,
     y_residual,
 )
+from test_package import run_fresh
 from ruledstrata import projective_maps
 from ruledstrata.projective_maps import (
     DEFAULT_TOL,
     MAX_SAMPLES,
     VERIFY_CHECKS,
     VERIFY_CHUNK,
+    Sampler,
     count_phi30_rows,
     critical_values_rows,
     eval_h_rows,
@@ -49,6 +51,7 @@ from ruledstrata.projective_maps import (
     random_separated_pair_rows,
     random_unit_sphere_rows,
     s5_identification_rows,
+    splitmix64,
     tau_rows,
     unordered_pair_residual_rows,
     verify_maps_report,
@@ -574,12 +577,72 @@ def scalar_draw(check, family, rng, n):
     raise AssertionError(check)
 
 
+# ---------------------------------------------------------------------------
+# the seeded streams of the verify-maps report
+
+
+def test_splitmix64_known_answers():
+    # the reference generator's first three outputs from seed 0
+    assert splitmix64(0, 0, 3).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    # a word depends only on its counter, not on how it is drawn
+    assert np.array_equal(np.concatenate([splitmix64(5, 0, 1024),
+                                          splitmix64(5, 1024, 976)]),
+                          splitmix64(5, 0, 2000))
+
+
+#: Draws from a `Sampler` named `rng`, of each kind, as an expression.
+STREAM_DRAWS = ("[rng.words(3).tolist(), rng.uniform(-1.0, 1.0, 3).tolist(), "
+                "rng.standard_normal((2, 3)).tolist()]")
+
+
+def test_sampler_streams_repeat():
+    # the same (seed, check) gives the same draws in every call, here and
+    # in a fresh interpreter (with its own string hash seed)
+    rng = Sampler(42, "h-symmetry")
+    first = eval(STREAM_DRAWS)
+    rng = Sampler(42, "h-symmetry")
+    assert eval(STREAM_DRAWS) == first
+    assert run_fresh("from ruledstrata.projective_maps import Sampler\n"
+                     f"rng = Sampler(42, 'h-symmetry')\nprint({STREAM_DRAWS})"
+                     ) == [str(first)]
+    # another check or another seed gives another stream
+    keys = {Sampler(seed, check).key for seed in (42, 43)
+            for check in ("h-symmetry", "h-diagonal-on-quadric")}
+    assert len(keys) == 4
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 2 * np.pi), (-1.0, 1.0), (0.0, 1.0)])
+def test_sampler_uniform_in_range(lo, hi):
+    u = Sampler(7, "uniform").uniform(lo, hi, 10**5)
+    assert np.all((lo <= u) & (u < hi))
+    assert u.min() < lo + 1e-3 * (hi - lo) and u.max() > hi - 1e-3 * (hi - lo)
+    # the least and the greatest word, at the ends of the range
+    class Ends(Sampler):
+        def words(self, n):
+            return np.array([0, 2**64 - 1], dtype=np.uint64)
+    low, high = Ends(7, "uniform").uniform(lo, hi, 2)
+    assert low == lo and high < hi
+
+
+def test_sampler_normal_moments():
+    x = Sampler(0, "normal-moments").standard_normal((10**5,))
+    assert abs(x.mean()) < 0.01
+    assert abs(x.var() - 1) < 0.02
+    # the shape asked for, filled from the front when the count is odd
+    rng = Sampler(0, "normal-moments")
+    assert rng.standard_normal((3, 5)).shape == (3, 5)
+    assert rng.count == 8
+
+
 @pytest.mark.parametrize("check, draws", [(c[0], c[-1]) for c in VERIFY_CHECKS])
 def test_verify_draws_match_scalar_forms(check, draws):
-    for family, draw in enumerate(draws):
-        batch = draw(np.random.default_rng(family), 300)
-        assert_residuals_agree(
-            batch, scalar_draw(check, family, np.random.default_rng(family), 300))
+    # on a numpy Generator and on the report's own stream for the check
+    for generator in (np.random.default_rng, lambda seed: Sampler(seed, check)):
+        for family, draw in enumerate(draws):
+            batch = draw(generator(family), 300)
+            assert_residuals_agree(
+                batch, scalar_draw(check, family, generator(family), 300))
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +664,14 @@ def test_verify_maps_chunk_boundaries(n):
         assert 0 <= r["worstSample"] < r["samples"] * families(r["check"])
     again = verify_maps_report(n, 7, 1e-9)
     assert json.dumps(report) == json.dumps(again)
+
+
+def test_verify_maps_rows_draw_apart(monkeypatch):
+    # each row draws from its own stream, so the order of the rows does not
+    # change what any of them draws
+    rows = verify_maps_report(50, 3, 1e-9)["rows"]
+    monkeypatch.setattr(projective_maps, "VERIFY_CHECKS", VERIFY_CHECKS[::-1])
+    assert verify_maps_report(50, 3, 1e-9)["rows"] == rows[::-1]
 
 
 def test_verify_maps_samples_limit():
