@@ -1,0 +1,30 @@
+"""Byte identity of the command line against `golden.json`.
+
+Every recorded argv is rerun through in-process `cli.main`; its exit code
+and the sha256 of its stdout and stderr must match the record.
+`make_golden.py` regenerates the file and says what each group covers.
+Left out, as too slow for this suite: the 50,000-row `strata --json`
+tables of the exact_core workload, `decompositions --n 8 --depth -1
+--json` and `--n 7 --depth -1 --pointed --json` of strata_enum (the file's
+`left_out` list names each argv), and every verify-maps argv that runs its
+checks, whose floating-point output depends on the installed numpy.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from make_golden import run_cli
+
+GOLDEN = json.loads(Path(__file__).with_name("golden.json").read_text())
+
+
+@pytest.mark.parametrize("group", sorted(GOLDEN["cases"]))
+def test_output_matches_golden(group):
+    cases = GOLDEN["cases"][group]
+    assert cases
+    changed = [case["argv"] for case in cases
+               if run_cli(case["argv"]) != {key: case[key] for key in
+                                            ("exit", "stdout", "stderr")}]
+    assert not changed, [" ".join(argv)[:120] for argv in changed]
