@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                                               "total fiber degree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, default=3,
-                   help="max degeneration nodes per branch (-1 for no bound)")
+                   help="max degeneration nodes per branch (negative for "
+                        "no bound)")
     p.add_argument("--pointed", action="store_true",
                    help="carry one marked point over a fixed base point")
 

@@ -1,13 +1,18 @@
-"""Exact intersection-form and symplectic-area arithmetic on the second
-homology of the two rational ruled surfaces.
+"""Exact intersection-form, symplectic-area and codimension arithmetic on
+the second homology of the two rational ruled surfaces.
 
 The trivial bundle is the product of two spheres, with hyperbolic pairing on
 the basis (A, F) where A is the base class and F the fiber.  The nontrivial
 bundle is the one-point blow-up of the projective plane, with diagonal
-pairing (+1, -1) on the basis (L, E) of a line and the exceptional sphere.
-All arithmetic here is exact: integer coefficients and `fractions.Fraction`
-areas.  Admissibility of a stratum is a strict inequality that can sit
-exactly on an integer boundary, so no floating point is used.
+pairing (+1, -1) on the basis (L, E) of a line and the exceptional sphere,
+and fiber L - E.  Each surface is one `RuledSurface` record: stratum k is
+defined by the class e1 - k * fiber from its first index on, and its
+codimension is `normal_codim` of that class on either surface.  The
+blow-up's record also holds its stated codimension 4k, which differs from
+`normal_codim`; reports show both and never reconcile them.  All arithmetic
+here is exact: integer coefficients and `fractions.Fraction` areas.
+Admissibility of a stratum is a strict inequality that can sit exactly on
+an integer boundary, so no floating point is used.
 """
 
 from __future__ import annotations
@@ -17,13 +22,15 @@ from collections import namedtuple
 from fractions import Fraction
 
 
-class RuledSurface(namedtuple("RuledSurface",
-                              "name basis_names pairing tangent_chern")):
-    """A rational ruled surface with a fixed integral basis of H_2.
+class RuledSurface(namedtuple("RuledSurface", "name basis_names pairing "
+                              "fiber first stated_codim_per_k")):
+    """A rational ruled surface with a fixed integral basis (e1, e2) of H_2.
 
     `name` is its key in `SURFACES`, `pairing` the intersection matrix in
-    that basis and `tangent_chern` the coefficients of the first Chern class
-    of the tangent bundle.
+    that basis and `fiber` the coefficients of the fiber class.  Strata are
+    indexed by k >= `first`.  Where the stated codimension of stratum k is
+    not `normal_codim` of its class, it is `stated_codim_per_k * k`; None
+    means there is no separate stated value.
     """
 
     __slots__ = ()
@@ -39,14 +46,18 @@ TRIVIAL = RuledSurface(
     name="trivial",
     basis_names=("A", "F"),
     pairing=((0, 1), (1, 0)),
-    tangent_chern=(2, 2),
+    fiber=(0, 1),
+    first=0,
+    stated_codim_per_k=None,
 )
 
 NONTRIVIAL = RuledSurface(
     name="nontrivial",
     basis_names=("L", "E"),
     pairing=((1, 0), (0, -1)),
-    tangent_chern=(3, -1),
+    fiber=(1, -1),
+    first=1,
+    stated_codim_per_k=4,
 )
 
 #: Both surfaces, keyed by name.
@@ -114,101 +125,44 @@ class SymplecticForm(namedtuple("SymplecticForm", "surface lam")):
 def area(form: SymplecticForm, c: H2Class) -> Fraction:
     """Symplectic area of a class, exact in lambda.
 
-    Linear in the class: on the product, area(A - kF) = 1 + lambda - k.
+    e1 has area 1 + lambda and the fiber area 1, which fixes e2; the area is
+    linear in the class: on the product, area(A - kF) = 1 + lambda - k.
     """
     if form.surface != c.surface:
         raise ValueError("form and class live on different surfaces")
-    a, b = c.coeffs
-    lam = form.lam
-    if form.surface is TRIVIAL:
-        return a * (1 + lam) + b
-    return a * (1 + lam) + b * lam
+    (a, b), (f1, f2) = c.coeffs, c.surface.fiber
+    n, d = form.lam.numerator, form.lam.denominator
+    # e2 = f2 * (fiber - f1 * e1), as f2 is +1 or -1; all over d
+    return Fraction(a * (n + d) + b * f2 * (d - f1 * (n + d)), d)
 
 
 def stratum_curve_class(surface: RuledSurface, k: int) -> H2Class:
-    """The curve class whose embedded representative defines stratum k.
+    """The curve class whose embedded representative defines stratum k:
+    e1 - k * fiber for k >= `surface.first`.
 
-    Product surface: A - kF for k >= 0.  Blow-up: E - (k-1)F for k >= 1,
-    a section of self-intersection 1 - 2k.
+    Product surface: A - kF.  Blow-up: L - k(L - E) = E - (k-1)F, a section
+    of self-intersection 1 - 2k.
     """
-    if surface is TRIVIAL:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        return surface.h2(1, -k)
-    if k < 1:
-        raise ValueError("blow-up strata are indexed by k >= 1")
-    # E - (k-1)(L-E) = -(k-1) L + k E
-    return surface.h2(-(k - 1), k)
+    if k < surface.first:
+        raise ValueError(f"{surface.name} strata are indexed by "
+                         f"k >= {surface.first}")
+    f1, f2 = surface.fiber
+    return surface.h2(1 - k * f1, -k * f2)
 
 
 def admissible_count(form: SymplecticForm) -> int:
-    """How many indices k >= `first_stratum` give a curve class of positive
-    area: stratum k has area 1 + lambda - k on both surfaces.
+    """How many indices k >= `form.surface.first` give a curve class of
+    positive area: stratum k has area 1 + lambda - k on both surfaces.
     """
-    return math.ceil(1 + form.lam) - first_stratum(form.surface)
+    return math.ceil(1 + form.lam) - form.surface.first
 
 
-def first_stratum(surface: RuledSurface) -> int:
-    """The least stratum index: 0 on the product, 1 on the blow-up."""
-    return 0 if surface is TRIVIAL else 1
+def normal_codim(b: H2Class) -> int:
+    """Codimension of the stratum of structures with an embedded sphere in
+    class b: 2 dim H^1 of its normal bundle, 2(-1 - b.b) by Riemann-Roch,
+    and 0 when b.b >= -1.
 
-
-def chern_pairing(c: H2Class) -> int:
-    """Pairing of the tangent bundle's first Chern class with c."""
-    return intersect(c.surface.h2(*c.surface.tangent_chern), c)
-
-
-def strata_codim(surface: RuledSurface, k: int) -> int:
-    """Codimension of stratum k in the space of compatible structures.
-
-    Product surface: 4k - 2 for k >= 1, and 0 for the open stratum k = 0.
-    Blow-up: the stated value 4k.  On the blow-up this disagrees with the
-    adjunction-style count (see `codim_cross_check`); the stated value is
-    returned verbatim and never silently reconciled.
+    A - kF on the product gives 4k - 2 (0 at k = 0), and E - (k-1)F on the
+    blow-up gives 4k - 4.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if surface is TRIVIAL:
-        if k == 0:
-            return 0  # open stratum
-        return 4 * k - 2
-    if k == 0:
-        raise ValueError("blow-up strata are indexed by k >= 1; "
-                         "the whole space is the closure of k = 1")
-    return 4 * k
-
-
-#: Stated stratum codimension next to the adjunction-style count, and
-#: whether they agree.
-CodimCheck = namedtuple("CodimCheck", "stated adjunction consistent")
-
-
-def codim_cross_check(surface: RuledSurface, k: int) -> CodimCheck:
-    """`adjunction` is -(2 c1.B - 2) for the stratum's curve class B, the
-    negative index of the deformation problem.  On the product surface the
-    two agree; on the blow-up they differ by 4 and the tension is surfaced
-    here rather than resolved.
-    """
-    if k < 1:
-        raise ValueError("cross-check defined for k >= 1")
-    b = stratum_curve_class(surface, k)
-    adj = -(2 * chern_pairing(b) - 2)
-    stated = strata_codim(surface, k)
-    return CodimCheck(stated, adj, stated == adj)
-
-
-def link_dimension(m: int, k: int) -> int:
-    """Dimension of the normal link of stratum m inside the closure of k.
-
-    4(m - k) - 1 for m > k >= 1.  For k = 0 the pointed link is used and its
-    dimension is 4m - 3; that value is inferred from the m = 2 case, where
-    the pointed link is the 5-sphere, and is not covered by the generic
-    formula.
-    """
-    if m <= k:
-        raise ValueError("need m > k")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return 4 * m - 3
-    return 4 * (m - k) - 1
+    return max(0, -2 - 2 * intersect(b, b))

@@ -57,32 +57,41 @@ def parse_lambda(text: str):
 
 
 def strata_report(lam, surface) -> dict:
-    """Admissible strata with areas, codimensions and next-link dimensions."""
+    """Admissible strata with areas, codimensions and next-link dimensions.
+
+    A row's codimension is `homology.normal_codim` of its curve class, and
+    its link dimension is the next row's codimension less its own, less 1.
+    Where the surface states another codimension (the blow-up's 4k), `codim`
+    is the stated value and `codim_adjunction` the derived one.
+    """
     from . import homology
     form = homology.SymplecticForm(surface, lam)
     count = homology.admissible_count(form)
     if count > MAX_STRATA_ROWS:
         raise ValueError("the number of strata for this lambda is above "
                          f"the limit {MAX_STRATA_ROWS}")
-    first = homology.first_stratum(surface)
+    stated = surface.stated_codim_per_k
+    cls = homology.stratum_curve_class(surface, surface.first)
+    codim = homology.normal_codim(cls)
     rows = []
-    for k in range(first, first + count):
-        cls = homology.stratum_curve_class(surface, k)
+    for k in range(surface.first, surface.first + count):
+        next_cls = homology.stratum_curve_class(surface, k + 1)
+        next_codim = homology.normal_codim(next_cls)
         row = {
             "k": k,
             "class": repr(cls),
             "area": str(homology.area(form, cls)),
-            "codim": homology.strata_codim(surface, k),
-            "link_dim": homology.link_dimension(k + 1, k),
+            "codim": codim if stated is None else stated * k,
+            "link_dim": next_codim - codim - 1,
             "rule": "area-positivity/stratum-codimension",
         }
         if k == 0:
             row["note"] = "pointed link dimension 4m-3 (inferred)"
-        if surface is homology.NONTRIVIAL:
-            check = homology.codim_cross_check(surface, k)
-            row["codim_adjunction"] = check.adjunction
-            row["codim_consistent"] = check.consistent
+        if stated is not None:
+            row["codim_adjunction"] = codim
+            row["codim_consistent"] = stated * k == codim
         rows.append(row)
+        cls, codim = next_cls, next_codim
     return {
         "subcommand": "strata",
         "params": {"lambda": str(form.lam), "surface": surface.name},

@@ -169,17 +169,10 @@ def shape_edges(shape) -> int:
     return len(shape[-1]) + sum(shape_edges(c) for c in shape[-1])
 
 
-def shape_aut_order(shape) -> int:
-    """Automorphisms of a rooted shape: permutations of equal child subtrees."""
-    order = _perm_order(shape[-1])
-    for c in shape[-1]:
-        order *= shape_aut_order(c)
-    return order
-
-
 @lru_cache(maxsize=None)
 def _shape_counts(shape) -> tuple[int, int]:
-    """`shape_edges` and `shape_aut_order` at once, cached per subtree."""
+    """`shape_edges` and the automorphism order (the permutations of equal
+    child subtrees, times each child's own) at once, cached per subtree."""
     kids = [_shape_counts(c) for c in shape[-1]]
     return (len(kids) + sum(e for e, _ in kids),
             _perm_order(shape[-1]) * math.prod(a for _, a in kids))

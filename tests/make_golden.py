@@ -1,6 +1,6 @@
 """Regenerate `tests/golden.json`, the recorded output of the command line.
 
-    PYTHONPATH=src:. python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py
 
 Each case is one argv run through in-process `cli.main`, stored with its
 exit code and the sha256 of its stdout and of its stderr; `test_golden.py`
@@ -136,8 +136,10 @@ def main() -> None:
             left_out.append({"argv": argv, "seconds": round(seconds, 2)})
     cases = {name: [{"argv": argv, **run_cli(argv)} for argv in argvs]
              for name, argvs in groups.items()}
-    for case in cases["refusals"]:
-        assert case["exit"] == 2, case["argv"][:3]
+    wrong = [case["argv"][:3] for case in cases["refusals"]
+             if case["exit"] != 2]
+    if wrong:
+        raise SystemExit(f"refusals that did not exit 2: {wrong}")
     GOLDEN.write_text(json.dumps({"cases": cases, "left_out": left_out},
                                  indent=1) + "\n")
     print(f"{GOLDEN}: " + ", ".join(f"{len(v)} {k}" for k, v in cases.items())

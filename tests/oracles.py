@@ -4,10 +4,15 @@ The scalar projective models take one point in plain complex arithmetic;
 each is the reference for the `_rows` form of `ruledstrata.projective_maps`
 and rounds as it does.  Only constants come from there, never a `_rows`
 model.  The stable-tree route realizes a `stable_trees` descriptor as an
-explicit labeled tree, with stability, automorphisms and dimensions.  The
-admissible strata are listed by testing the area of each stratum in turn,
-the reference for the closed-form count behind the strata report.  The
-three named lens spaces are the tests' reference values.
+explicit labeled tree, with stability, automorphisms and dimensions, and
+each branch shape's automorphisms are counted by recursion, the reference
+for the cached counts of `stable_trees`.  The admissible strata are listed
+by testing the area of each stratum in turn, the reference for the
+closed-form count behind the strata report.  Stratum codimensions follow
+the adjunction route through the tangent bundle's first Chern class, the
+reference for `homology.normal_codim`, and the stated link dimensions
+4(m - k) - 1 and 4m - 3 are the reference for its differences.  The three
+named lens spaces are the tests' reference values.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from ruledstrata.homology import (
+    NONTRIVIAL,
     TRIVIAL,
     H2Class,
     SymplecticForm,
     area,
+    intersect,
     stratum_curve_class,
 )
 from ruledstrata.plumbing import lens_space
@@ -371,7 +378,7 @@ def orbit_space_map(p) -> ProjPoint:
 
 
 # ---------------------------------------------------------------------------
-# admissible strata
+# admissible strata and their codimensions
 
 
 def admissible_strata(form: SymplecticForm) -> list[int]:
@@ -387,6 +394,40 @@ def admissible_strata(form: SymplecticForm) -> list[int]:
         out.append(k)
         k += 1
     return out
+
+
+#: The first Chern class of each surface's tangent bundle in its basis:
+#: 2A + 2F on the product and 3L - E on the blow-up.
+TANGENT_CHERN = {TRIVIAL: (2, 2), NONTRIVIAL: (3, -1)}
+
+
+def chern_pairing(c: H2Class) -> int:
+    """Pairing of the tangent bundle's first Chern class with c."""
+    return intersect(c.surface.h2(*TANGENT_CHERN[c.surface]), c)
+
+
+def adjunction_codim(b: H2Class) -> int:
+    """-(2 c1.B - 2) for the class B = b, the negative index of the
+    deformation problem of a sphere in it, floored at 0: the route that
+    `homology.normal_codim` is checked against."""
+    return max(0, -(2 * chern_pairing(b) - 2))
+
+
+def link_dimension(m: int, k: int) -> int:
+    """Dimension of the normal link of stratum m inside the closure of k.
+
+    4(m - k) - 1 for m > k >= 1.  For k = 0 the pointed link is used and its
+    dimension is 4m - 3; that value is inferred from the m = 2 case, where
+    the pointed link is the 5-sphere, and is not covered by the generic
+    formula.
+    """
+    if m <= k:
+        raise ValueError("need m > k")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return 4 * m - 3
+    return 4 * (m - k) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +619,14 @@ def stratum_tree(descriptor, stem_drop: int) -> StableTree:
     if descriptor.pointed_shape is not None:
         add(descriptor.pointed_shape, 0)
     return StableTree(tuple(components), tuple(edges), stem=0)
+
+
+def shape_aut_order(shape) -> int:
+    """Automorphisms of a rooted branch shape: the permutations of equal
+    child subtrees, times each child's own automorphisms."""
+    children = shape[-1]
+    swaps = math.prod(math.factorial(children.count(c)) for c in set(children))
+    return swaps * math.prod(shape_aut_order(c) for c in children)
 
 
 def top_stratum_dimension(parts) -> int:

@@ -15,6 +15,7 @@ from oracles import (
     StableTree,
     TreeComponent,
     branch_moduli_dim,
+    chern_pairing,
     combinatorial_isotropy,
     count_phi30,
     critical_values,
@@ -29,7 +30,7 @@ from oracles import (
 )
 
 from ruledstrata import cli
-from ruledstrata.homology import TRIVIAL, chern_pairing, strata_codim
+from ruledstrata.homology import TRIVIAL, normal_codim, stratum_curve_class
 from ruledstrata.plumbing import (
     blow_down_fully,
     chain_to_lens,
@@ -123,8 +124,9 @@ def test_criterion_05_stratum_tables():
     """Codimension identities and the partition dimension identity."""
     ok = True
     for k in range(1, 11):
-        ok &= strata_codim(TRIVIAL, k) == 4 * k - 2
-        ok &= strata_codim(TRIVIAL, k) == -(2 * chern_pairing(TRIVIAL.h2(1, -k)) - 2)
+        codim = normal_codim(stratum_curve_class(TRIVIAL, k))
+        ok &= codim == 4 * k - 2
+        ok &= codim == -(2 * chern_pairing(TRIVIAL.h2(1, -k)) - 2)
     count = 0
     for n in range(1, 9):
         for dec in enumerate_decompositions(n):

@@ -5,19 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import admissible_strata
+from oracles import (
+    adjunction_codim,
+    admissible_strata,
+    chern_pairing,
+    link_dimension,
+)
 from ruledstrata.homology import (
     NONTRIVIAL,
     TRIVIAL,
     SymplecticForm,
     admissible_count,
     area,
-    chern_pairing,
-    codim_cross_check,
-    first_stratum,
     intersect,
-    link_dimension,
-    strata_codim,
+    normal_codim,
     stratum_curve_class,
 )
 
@@ -109,7 +110,7 @@ def test_form_parameter_ranges():
 def admissible_range(form):
     """The indices the strata report iterates: a closed-form count from the
     first index, the route that `admissible_strata` is the oracle for."""
-    first = first_stratum(form.surface)
+    first = form.surface.first
     return list(range(first, first + admissible_count(form)))
 
 
@@ -156,25 +157,47 @@ def test_chern_pairing():
     assert chern_pairing(E) == 1
 
 
+def codim(surface, k):
+    """The codimension `homology.normal_codim` gives stratum k."""
+    return normal_codim(stratum_curve_class(surface, k))
+
+
 def test_strata_codim():
-    assert strata_codim(TRIVIAL, 2) == 6
-    assert strata_codim(TRIVIAL, 1) == 2
-    assert strata_codim(TRIVIAL, 0) == 0  # open stratum
+    assert codim(TRIVIAL, 2) == 6
+    assert codim(TRIVIAL, 1) == 2
+    assert codim(TRIVIAL, 0) == 0  # open stratum
     for k in range(1, 21):
-        assert strata_codim(TRIVIAL, k) == -(2 * chern_pairing(TRIVIAL.h2(1, -k)) - 2)
+        assert codim(TRIVIAL, k) == -(2 * chern_pairing(TRIVIAL.h2(1, -k)) - 2)
 
 
 def test_strata_codim_nontrivial_flagged():
+    # the blow-up's stated codimension 4k is not the derived 4k - 4
     for k in range(1, 8):
-        assert strata_codim(NONTRIVIAL, k) == 4 * k
-        check = codim_cross_check(NONTRIVIAL, k)
-        assert check.stated == 4 * k
-        assert check.adjunction == 4 * k - 4
-        assert not check.consistent
+        stated = NONTRIVIAL.stated_codim_per_k * k
+        adjunction = adjunction_codim(stratum_curve_class(NONTRIVIAL, k))
+        assert stated == 4 * k
+        assert adjunction == codim(NONTRIVIAL, k) == 4 * k - 4
+        assert stated != adjunction
+    assert TRIVIAL.stated_codim_per_k is None
     for k in range(1, 8):
-        assert codim_cross_check(TRIVIAL, k).consistent
+        assert codim(TRIVIAL, k) == adjunction_codim(stratum_curve_class(TRIVIAL, k))
     with pytest.raises(ValueError):
-        strata_codim(NONTRIVIAL, 0)
+        stratum_curve_class(NONTRIVIAL, 0)
+
+
+def test_normal_codim_matches_oracles():
+    # every k <= 2000: the adjunction route, the closed forms, and each
+    # difference of two codimensions against the stated link dimension
+    for surface, closed in ((TRIVIAL, lambda k: max(0, 4 * k - 2)),
+                            (NONTRIVIAL, lambda k: 4 * k - 4)):
+        codims = {}
+        for k in range(surface.first, 2001):
+            b = stratum_curve_class(surface, k)
+            codims[k] = normal_codim(b)
+            assert codims[k] == adjunction_codim(b) == closed(k)
+        for k, low in codims.items():
+            for m in range(k + 1, 2001):
+                assert codims[m] - low - 1 == link_dimension(m, k)
 
 
 def test_nontrivial_sections_self_intersection():

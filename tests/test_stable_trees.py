@@ -11,6 +11,7 @@ from oracles import (
     combinatorial_isotropy,
     fiber_class,
     is_stable,
+    shape_aut_order,
     stem_class,
     stratum_tree,
     top_stratum_dimension,
@@ -22,7 +23,6 @@ from ruledstrata.stable_trees import (
     branch_shapes,
     enumerate_decompositions,
     enumerate_strata,
-    shape_aut_order,
     shape_edges,
     shape_to_json,
 )
