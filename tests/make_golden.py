@@ -12,7 +12,9 @@ test needs neither `perfbench` nor this script's choices.  Groups:
   larger ones are listed under `left_out` with their time.
 - grid: `strata` for 12 lambdas and `links` for m <= 7, -1 <= k <= m, on
   both surfaces, each as a table and with `--json`.
-- decompositions: `--n 0` to `--n 7` at the default depth, table and JSON.
+- decompositions: `--n 0` to `--n 7` at the default depth; `--n 0` to
+  `--n 6` at depths -1, 0 and 1, and with `--pointed` at -1, 0, 1 and 3;
+  each as a table and with `--json`.
 - refusals: the exit-2 argvs of the CI loop.
 
 A verify-maps argv that runs its checks is left out everywhere: their
@@ -91,6 +93,15 @@ def grid_argvs() -> list[list[str]]:
     return [a + tail for a in argvs for tail in ([], ["--json"])]
 
 
+def decompositions_argvs() -> list[list[str]]:
+    argvs = [["decompositions", "--n", str(n)] for n in range(8)]
+    for pointed, depths in (([], (-1, 0, 1)), (["--pointed"], (-1, 0, 1, 3))):
+        argvs += [["decompositions", "--n", str(n), *pointed,
+                   "--depth", str(depth)]
+                  for n in range(7) for depth in depths]
+    return [a + tail for a in argvs for tail in ([], ["--json"])]
+
+
 def refusal_argvs() -> list[list[str]]:
     nines = "9" * 4300
     big = "5" + "0" * 4298
@@ -119,8 +130,7 @@ def main() -> None:
     groups = {
         "workloads": [],
         "grid": grid_argvs(),
-        "decompositions": [["decompositions", "--n", str(n), *tail]
-                           for n in range(8) for tail in ([], ["--json"])],
+        "decompositions": decompositions_argvs(),
         "refusals": refusal_argvs(),
     }
     left_out = []
