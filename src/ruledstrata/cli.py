@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-#: The most samples verify-maps takes (about 15 s of work).
+#: The most samples verify-maps takes (10^6: 9.5-13 s and 30 MB, 2-vCPU VM).
 MAX_SAMPLES = 10**6
 
 #: The most decimal digits of an integer the CLI reads: a chain entry and the

@@ -56,10 +56,6 @@ class Space(namedtuple("Space", "tag p q notes eulers",
             return "S5"
         return self.tag
 
-    def to_json(self) -> dict:
-        return {"tag": self.tag, "p": self.p, "q": self.q,
-                "notes": list(self.notes)}
-
 
 def lens_space(p: int, q: int, notes: tuple[str, ...] = ()) -> Space:
     """L(p, q) normalized to p >= 0 and 0 <= q < p when p >= 2."""

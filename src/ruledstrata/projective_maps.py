@@ -226,9 +226,9 @@ def _generic_rows(pts: np.ndarray) -> np.ndarray:
 _PHI30_SIGNS = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
 
 
-def count_phi30_rows(targets) -> tuple[np.ndarray, np.ndarray]:
-    """`count_phi30` of each row of an (n, 3) array: the number of distinct
-    preimages under `eval_phi30_rows` and the generic flags.
+def count_phi30_rows(targets) -> np.ndarray:
+    """`count_phi30(t).count` for each row t of an (n, 3) array: the number
+    of distinct preimages under `eval_phi30_rows`.
 
     The four square-root candidates of each target are verified against it
     and clustered greedily in the scalar order, all rows at once.
@@ -246,7 +246,7 @@ def count_phi30_rows(targets) -> tuple[np.ndarray, np.ndarray]:
             new = new & (~reps[:, k] | (proj_residual_rows(
                 candidates[:, j], candidates[:, k]) >= CLUSTER_TOL))
         reps[:, j] = new
-    return reps.sum(axis=1), _generic_rows(target)
+    return reps.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +476,13 @@ def _round_trip(rng, n):
 
 
 def _generic_preimages(rng, n):
-    counts, _ = count_phi30_rows(random_generic_square_rows(rng, n))
+    counts = count_phi30_rows(random_generic_square_rows(rng, n))
     return np.abs(counts - 4).astype(float)
 
 
 def _line_preimages(i):
     def draw(rng, n):
-        counts, _ = count_phi30_rows(random_line_target_rows(rng, n, i))
+        counts = count_phi30_rows(random_line_target_rows(rng, n, i))
         return np.abs(counts - 2).astype(float)
     return draw
 

@@ -1,11 +1,11 @@
 """Report builders for strata, links, plumb and decompositions, and the
 table rendering of every report; verify-maps is built in `projective_maps`.
 
-Each builder returns a plain-JSON dictionary (strings, integers, floats,
-booleans, lists, dicts), so reports parse back to themselves.  Every row
-carries a stable `rule` string naming the rewrite or formula that produced
-it, so traces survive refactors; exact rationals are fraction strings.
-Each builder imports the layers it calls, so a process loads only those.
+Each builder returns a plain-JSON dictionary, so reports parse back to
+themselves, and only this module turns the layers' records and tuples into
+JSON values.  Strata rows, link steps and the plumb result name the rule
+that produced them; exact rationals are fraction strings.  Each builder
+imports the layers it calls, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -23,11 +23,24 @@ def surface_by_name(name: str):
                          f"use {' or '.join(SURFACES)}")
 
 
+def _lists(value):
+    """`value` with each tuple in it a list, as JSON reads it back."""
+    if not isinstance(value, (tuple, list)):
+        return value
+    return [_lists(v) if type(v) is tuple else v for v in value]
+
+
+def _space(space) -> dict:
+    """A `plumbing.Space` normal form as a JSON object."""
+    return {"tag": space.tag, "p": space.p, "q": space.q,
+            "notes": _lists(space.notes)}
+
+
 # ---------------------------------------------------------------------------
 # strata
 
-#: The most rows `strata_report` builds (about 4 s of work); a lambda that
-#: gives more raises.
+#: The most rows `strata_report` builds (10^5 take 1.4-2.3 s and 134-232 MB,
+#: table or --json, either surface; 2-vCPU VM); a lambda giving more raises.
 MAX_STRATA_ROWS = 10**5
 
 
@@ -125,8 +138,8 @@ def links_report(m: int, k: int, surface) -> dict:
     elif surface is TRIVIAL and (m, k) == (2, 0):
         run = plumbing.link20_pipeline()
         steps = run.steps
-        before["l_z"] = run.l_z.to_json()
-        after["sublink"] = run.sublink.to_json()
+        before["l_z"] = _space(run.l_z)
+        after["sublink"] = _space(run.sublink)
         after["sublink_display"] = run.sublink.display()
     elif surface is NONTRIVIAL and m == k + 1 and k >= 1:
         run = plumbing.link_nontrivial(k)
@@ -134,7 +147,7 @@ def links_report(m: int, k: int, surface) -> dict:
         after["diagnostic"] = {
             "rule": "self-intersection-plus-two-gluing-degree",
             "degree": run.derived_degree,
-            "space": run.derived.to_json(),
+            "space": _space(run.derived),
             "agrees_with_stated": run.agrees,
         }
     else:
@@ -142,10 +155,9 @@ def links_report(m: int, k: int, surface) -> dict:
                          "surface is not derived here; supported cases: "
                          + "; ".join(SUPPORTED_LINKS))
     # a state is a `Space` (a tuple itself) or a bundle: an int or a pair
-    trace = [{"rule": rule, "space": state.to_json()}
+    trace = [{"rule": rule, "space": _space(state)}
              if isinstance(state, plumbing.Space) else
-             {"rule": rule,
-              "bundle": state if isinstance(state, int) else list(state)}
+             {"rule": rule, "bundle": _lists(state)}
              for rule, state in steps]
     link = steps[-1][1]
     return {
@@ -154,7 +166,7 @@ def links_report(m: int, k: int, surface) -> dict:
         "pass": True,
         "trace": trace,
         **before,
-        "result": link.to_json(),
+        "result": _space(link),
         "display": link.display(),
         **after,
     }
@@ -197,11 +209,11 @@ def plumb_report(chain: list[int]) -> dict:
     return {
         "subcommand": "plumb",
         "params": {"chain": list(chain)},
-        "result": space.to_json(),
+        "result": _space(space),
         "display": space.display(),
         "rule": "negative-continued-fraction",
-        "blow_down_trace": [list(c) for c in trace],
-        "blow_down_result": reduced.to_json(),
+        "blow_down_trace": _lists(trace),
+        "blow_down_result": _space(reduced),
         "pass": bool(plumbing.lens_equivalent(space, reduced)),
     }
 
@@ -211,9 +223,30 @@ def plumb_report(chain: list[int]) -> dict:
 
 
 #: The largest total fiber degree `decompositions_report` enumerates: at 8,
-#: `--pointed --depth -1 --json` takes 51 s and 3 GB (2-vCPU VM), and the
+#: `--pointed --depth -1 --json` takes 54 s and 2.9 GB (2-vCPU VM), and the
 #: work grows about sixfold per degree.
 MAX_FIBER_DEGREE = 8
+
+
+def _stratum_row(d) -> dict:
+    """A `stable_trees.StratumDescriptor` as a row with fields
+
+        parts     list of fiber degrees of the branches (a partition)
+        shape     one entry per unpointed branch: nested [degree, [children...]]
+        dim       real dimension of the stratum
+        isotropy  order of the combinatorial automorphism group
+
+    A pointed descriptor adds "pointed": {"part", "tree"}, the degree and
+    shape of the branch with the marked point, whose nodes are [degree,
+    marked, [children...]], and "inferred": true.
+    """
+    row = {"parts": _lists(d.parts), "shape": _lists(d.shapes),
+           "dim": d.dimension, "isotropy": d.isotropy}
+    if d.pointed_part is not None:
+        row["pointed"] = {"part": d.pointed_part,
+                          "tree": _lists(d.pointed_shape)}
+        row["inferred"] = True
+    return row
 
 
 def decompositions_report(n: int, depth: int | None, pointed: bool) -> dict:
@@ -227,7 +260,7 @@ def decompositions_report(n: int, depth: int | None, pointed: bool) -> dict:
     return {
         "subcommand": "decompositions",
         "params": {"n": n, "depth": depth, "pointed": pointed},
-        "rows": [d.to_json() for d in descriptors],
+        "rows": [_stratum_row(d) for d in descriptors],
         "pass": True,
     }
 

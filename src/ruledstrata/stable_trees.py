@@ -6,18 +6,7 @@ fibers.  This module handles the combinatorics only: the partitions of the
 total fiber degree, the stable branch shapes as nested tuples, and the
 stratum descriptors with their dimensions and automorphism counts.  The
 test suite's `tests/oracles.py` realizes each descriptor as an explicit
-tree of labeled components and checks it there.
-
-Stratum descriptors serialize to JSON objects with fields
-
-    parts     list of fiber degrees of the branches (a partition)
-    shape     one entry per unpointed branch: nested [degree, [children...]]
-    dim       real dimension of the stratum
-    isotropy  order of the combinatorial automorphism group
-
-Pointed descriptors additionally carry "inferred": true and "pointed":
-{"part", "tree"}, the degree and shape of the branch with the marked point,
-whose nodes are [degree, marked, [children...]].
+tree of labeled components and checks it there; `reports` writes them.
 """
 
 from __future__ import annotations
@@ -178,10 +167,6 @@ def _shape_counts(shape) -> tuple[int, int]:
             _perm_order(shape[-1]) * math.prod(a for _, a in kids))
 
 
-def shape_to_json(shape) -> list:
-    return [*shape[:-1], [shape_to_json(c) for c in shape[-1]]]
-
-
 # ---------------------------------------------------------------------------
 # stratum descriptors
 
@@ -200,21 +185,6 @@ class StratumDescriptor(namedtuple(
     """
 
     __slots__ = ()
-
-    def to_json(self) -> dict:
-        out = {
-            "parts": list(self.parts),
-            "shape": [shape_to_json(s) for s in self.shapes],
-            "dim": self.dimension,
-            "isotropy": self.isotropy,
-        }
-        if self.pointed_part is not None:
-            out["pointed"] = {
-                "part": self.pointed_part,
-                "tree": shape_to_json(self.pointed_shape),
-            }
-            out["inferred"] = True
-        return out
 
 
 def enumerate_strata(n: int, max_branch_depth: int | None = 3,

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from ruledstrata import cli, projective_maps, reports
 from ruledstrata.projective_maps import verify_maps_report
 from ruledstrata.reports import (
+    decompositions_report,
     links_report,
     plumb_report,
     strata_report,
@@ -550,6 +551,8 @@ class TestReportContracts:
             links_report(3, 2, surface_by_name("nontrivial")),
             plumb_report([-2, -1, -2]),
             verify_maps_report(20, 42, 1e-9),
+            decompositions_report(4, None, True),
+            decompositions_report(5, 3, False),
         ):
             assert json.loads(json.dumps(report)) == report
 

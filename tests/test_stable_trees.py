@@ -24,8 +24,8 @@ from ruledstrata.stable_trees import (
     enumerate_decompositions,
     enumerate_strata,
     shape_edges,
-    shape_to_json,
 )
+from ruledstrata.reports import _lists, _stratum_row
 
 
 def ghost(marked=0):
@@ -232,7 +232,7 @@ class TestEnumerateStrata:
 
     def test_json_schema(self):
         for desc in enumerate_strata(2):
-            blob = desc.to_json()
+            blob = _stratum_row(desc)
             assert set(blob) == {"parts", "shape", "dim", "isotropy"}
             assert blob["dim"] == desc.dimension
 
@@ -242,7 +242,7 @@ class TestEnumerateStrata:
         dims = sorted(d.dimension for d in strata)
         assert dims == [0, 0, 2, 2, 2, 4]
         for d in strata:
-            blob = d.to_json()
+            blob = _stratum_row(d)
             assert blob["inferred"] is True
             assert "pointed" in blob
         for m in range(1, 5):
@@ -317,7 +317,7 @@ def test_pointed_branch_shape_catalogue():
         1, 5, 29, 167, 981, 5775]
     assert [len(branch_shapes(d, 3, pointed=True)) for d in range(1, 7)] == [
         1, 5, 24, 67, 146, 270]
-    assert shape_to_json(shapes[2]) == [1, False, [[1, True, []]]]
-    assert shape_to_json((1, ((1, ()),))) == [1, [[1, []]]]
+    assert _lists(shapes[2]) == [1, False, [[1, True, []]]]
+    assert _lists((1, ((1, ()),))) == [1, [[1, []]]]
     assert shape_aut_order((0, False, ((1, False, ()), (1, False, ())))) == 2
     assert shape_aut_order((0, False, ((1, False, ()), (1, True, ())))) == 1
