@@ -23,17 +23,10 @@ def surface_by_name(name: str):
                          f"use {' or '.join(SURFACES)}")
 
 
-def _lists(value):
-    """`value` with each tuple in it a list, as JSON reads it back."""
-    if not isinstance(value, (tuple, list)):
-        return value
-    return [_lists(v) if type(v) is tuple else v for v in value]
-
-
 def _space(space) -> dict:
     """A `plumbing.Space` normal form as a JSON object."""
     return {"tag": space.tag, "p": space.p, "q": space.q,
-            "notes": _lists(space.notes)}
+            "notes": list(space.notes)}
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +150,8 @@ def links_report(m: int, k: int, surface) -> dict:
     # a state is a `Space` (a tuple itself) or a bundle: an int or a pair
     trace = [{"rule": rule, "space": _space(state)}
              if isinstance(state, plumbing.Space) else
-             {"rule": rule, "bundle": _lists(state)}
+             {"rule": rule,
+              "bundle": state if isinstance(state, int) else list(state)}
              for rule, state in steps]
     link = steps[-1][1]
     return {
@@ -212,7 +206,7 @@ def plumb_report(chain: list[int]) -> dict:
         "result": _space(space),
         "display": space.display(),
         "rule": "negative-continued-fraction",
-        "blow_down_trace": _lists(trace),
+        "blow_down_trace": [list(c) for c in trace],
         "blow_down_result": _space(reduced),
         "pass": bool(plumbing.lens_equivalent(space, reduced)),
     }
@@ -228,6 +222,12 @@ def plumb_report(chain: list[int]) -> dict:
 MAX_FIBER_DEGREE = 8
 
 
+def _shape(shape) -> list:
+    """A branch shape, nested tuples whose last entry holds the children,
+    as nested lists."""
+    return [*shape[:-1], [_shape(c) for c in shape[-1]]]
+
+
 def _stratum_row(d) -> dict:
     """A `stable_trees.StratumDescriptor` as a row with fields
 
@@ -240,11 +240,11 @@ def _stratum_row(d) -> dict:
     shape of the branch with the marked point, whose nodes are [degree,
     marked, [children...]], and "inferred": true.
     """
-    row = {"parts": _lists(d.parts), "shape": _lists(d.shapes),
+    row = {"parts": list(d.parts), "shape": [_shape(s) for s in d.shapes],
            "dim": d.dimension, "isotropy": d.isotropy}
     if d.pointed_part is not None:
         row["pointed"] = {"part": d.pointed_part,
-                          "tree": _lists(d.pointed_shape)}
+                          "tree": _shape(d.pointed_shape)}
         row["inferred"] = True
     return row
 

@@ -36,6 +36,8 @@ from ruledstrata.projective_maps import (
     VERIFY_CHECKS,
     VERIFY_CHUNK,
     Sampler,
+    _generic_rows,
+    _unit_rows,
     count_phi30_rows,
     critical_values_rows,
     eval_h_rows,
@@ -533,6 +535,8 @@ class TestBatchOracle:
             counts = count_phi30_rows(targets)
             scalar = [count_phi30(t) for t in points(targets)]
             assert counts.tolist() == [s.count for s in scalar]
+            assert _generic_rows(_unit_rows(targets)).tolist() == [
+                s.generic for s in scalar]
 
 
 def scalar_draw(check, family, rng, n):

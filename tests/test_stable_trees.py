@@ -25,7 +25,7 @@ from ruledstrata.stable_trees import (
     enumerate_strata,
     shape_edges,
 )
-from ruledstrata.reports import _lists, _stratum_row
+from ruledstrata.reports import _shape, _stratum_row
 
 
 def ghost(marked=0):
@@ -317,7 +317,7 @@ def test_pointed_branch_shape_catalogue():
         1, 5, 29, 167, 981, 5775]
     assert [len(branch_shapes(d, 3, pointed=True)) for d in range(1, 7)] == [
         1, 5, 24, 67, 146, 270]
-    assert _lists(shapes[2]) == [1, False, [[1, True, []]]]
-    assert _lists((1, ((1, ()),))) == [1, [[1, []]]]
+    assert _shape(shapes[2]) == [1, False, [[1, True, []]]]
+    assert _shape((1, ((1, ()),))) == [1, [[1, []]]]
     assert shape_aut_order((0, False, ((1, False, ()), (1, False, ())))) == 2
     assert shape_aut_order((0, False, ((1, False, ()), (1, True, ())))) == 1
