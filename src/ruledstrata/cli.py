@@ -6,13 +6,18 @@ is 0 when every check passed, 1 on a failed check or a closed stdout pipe,
 2 on invalid input.  Each subcommand loads only the layers it calls: only
 verify-maps loads numpy, after its arguments are checked, and its --json
 form no exact layer; `main` on `sys.argv` freezes every object before exit.
+
+The options are read against one table, COMMANDS, by `parse_args`, and a
+--json report is written by `json_text`, so a process loads neither
+argparse nor json: they took about 10 ms of each start-up.  An option takes
+its value as the next argument or after "=", whatever the value starts
+with, and a unique prefix names an option.  A usage error exits 2 with a
+usage line, as argparse's did; -h or --help prints the options and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import math
 import os
 import sys
@@ -45,51 +50,161 @@ def check_verify_maps_args(samples: int, seed: int, tol: float):
         raise ValueError(f"seed has more than {MAX_DIGITS} digits, the limit")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ruledstrata",
-        description=("stratification calculator for compatible almost complex "
-                     "structures on the rational ruled surfaces"))
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("strata", help="admissible strata for a given form")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="form parameter, a rational like 5/2")
-    _surface(p)
-
-    p = sub.add_parser("links", help="normal link of one stratum in another")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _surface(p)
-
-    p = sub.add_parser("plumb", help="normal form of a linear plumbing chain")
-    p.add_argument("--chain", required=True,
-                   help="comma-separated Euler numbers, e.g. \"-3,-1\"")
-
-    p = sub.add_parser("verify-maps", help="residual checks for the "
-                                           "explicit projective models")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = sub.add_parser("decompositions", help="stratum descriptors for a "
-                                              "total fiber degree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, default=3,
-                   help="max degeneration nodes per branch (negative for "
-                        "no bound)")
-    p.add_argument("--pointed", action="store_true",
-                   help="carry one marked point over a fixed base point")
-
-    for p in sub.choices.values():
-        p.add_argument("--json", action="store_true", dest="as_json")
-    return parser
+#: The subcommands: each one's help line and options.  An option is (name,
+#: converter, default, help): a converter of None marks a flag, False until
+#: given, and a default of None an option that must be given.  Every
+#: subcommand also takes JSON_OPTION.  An option's value is stored on
+#: `Args` under its name without the dashes, or the name in DEST.
+COMMANDS = {
+    "strata": ("admissible strata for a given form", (
+        ("--lambda", str, None, "form parameter, a rational like 5/2"),
+        ("--surface", str, "trivial", "trivial or nontrivial"))),
+    "links": ("normal link of one stratum in another", (
+        ("--m", int, None, "the stratum whose link is taken"),
+        ("--k", int, None, "the stratum in whose closure it lies"),
+        ("--surface", str, "trivial", "trivial or nontrivial"))),
+    "plumb": ("normal form of a linear plumbing chain", (
+        ("--chain", str, None,
+         'comma-separated Euler numbers, e.g. "-3,-1"'),)),
+    "verify-maps": ("residual checks for the explicit projective models", (
+        ("--samples", int, 1000, "draws per sample family"),
+        ("--seed", int, 42, "seed of the sample streams"),
+        ("--tol", float, 1e-9, "residual tolerance of most rows"))),
+    "decompositions": ("stratum descriptors for a total fiber degree", (
+        ("--n", int, None, "total fiber degree"),
+        ("--depth", int, 3, "max degeneration nodes per branch, negative "
+                            "for no bound"),
+        ("--pointed", None, False, "carry one marked point over a fixed "
+                                   "base point"))),
+}
+JSON_OPTION = ("--json", None, False, "print the report as JSON")
+DEST = {"--lambda": "lam", "--json": "as_json"}
+DESCRIPTION = ("stratification calculator for compatible almost complex "
+               "structures on the rational ruled surfaces")
 
 
-def _surface(p: argparse.ArgumentParser):
-    # `reports.surface_by_name` refuses an unknown name (exit 2)
-    p.add_argument("--surface", default="trivial",
-                   help="trivial (the default) or nontrivial")
+class Args:
+    """The subcommand and option values read from one argv."""
+
+
+def parse_args(argv) -> Args:
+    """Read argv against COMMANDS.  A value follows its option or an "=" and
+    may start with "-"; a unique prefix names an option, the last of a
+    repeated option counts.  A usage error prints the usage and an error
+    line to stderr and raises SystemExit(2); -h or --help prints the help
+    and raises SystemExit(0)."""
+    if not argv:
+        _usage_error(None, "the following arguments are required: subcommand")
+    sub = argv[0]
+    if sub not in COMMANDS:
+        if _option(None, sub, ["--help"]):
+            _print_help(None)
+        _usage_error(None, f"argument subcommand: invalid choice: {sub!r} "
+                           f"(choose from {', '.join(map(repr, COMMANDS))})")
+    options = {spec[0]: spec for spec in _options(sub)}
+    names = [*options, "--help"]
+    values = {}
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        name, eq, value = token.partition("=")
+        name = _option(sub, name, names)
+        if name is None:
+            _usage_error(sub, f"unrecognized arguments: {token}")
+        convert = options[name][1] if name in options else None
+        if convert is None:
+            if eq:
+                _usage_error(sub, f"argument {name}: ignored explicit "
+                                  f"argument {value!r}")
+            if name == "--help":
+                _print_help(sub)
+            values[name] = True
+            continue
+        if not eq:
+            if i == len(argv):
+                _usage_error(sub, f"argument {name}: expected one argument")
+            value = argv[i]
+            i += 1
+        try:
+            values[name] = convert(value)
+        except ValueError:
+            _usage_error(sub, f"argument {name}: invalid {convert.__name__} "
+                              f"value: {value!r}")
+    missing = [name for name, _, default, _ in options.values()
+               if default is None and name not in values]
+    if missing:
+        _usage_error(sub, "the following arguments are required: "
+                          + ", ".join(missing))
+    args = Args()
+    args.subcommand = sub
+    for name, _, default, _ in options.values():
+        setattr(args, _dest(name), values.get(name, default))
+    return args
+
+
+def _options(sub: str) -> tuple:
+    return COMMANDS[sub][1] + (JSON_OPTION,)
+
+
+def _dest(name: str) -> str:
+    return DEST.get(name, name[2:])
+
+
+def _form(name: str, convert) -> str:
+    """An option as usage shows it: a flag alone, else with its value."""
+    return name if convert is None else f"{name} {_dest(name).upper()}"
+
+
+def _option(sub, token: str, names: list[str]):
+    """The option of `names` that token names, exactly or as the one name it
+    is a prefix of, or None; an ambiguous prefix is a usage error."""
+    if token == "-h":
+        return "--help"
+    if token in names:
+        return token
+    if not token.startswith("--") or token == "--":
+        return None
+    found = [name for name in names if name.startswith(token)]
+    if len(found) > 1:
+        _usage_error(sub, f"ambiguous option: {token} could match "
+                          + ", ".join(found))
+    return found[0] if found else None
+
+
+def _usage(sub) -> str:
+    if sub is None:
+        return "usage: ruledstrata [-h] {" + ",".join(COMMANDS) + "} ..."
+    words = ["usage: ruledstrata", sub, "[-h]"]
+    for name, convert, default, _ in _options(sub):
+        form = _form(name, convert)
+        words.append(form if default is None else f"[{form}]")
+    return " ".join(words)
+
+
+def _usage_error(sub, message: str):
+    prog = "ruledstrata" if sub is None else "ruledstrata " + sub
+    print(f"{_usage(sub)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _print_help(sub):
+    if sub is None:
+        about = DESCRIPTION
+        heading = "subcommands (ruledstrata <subcommand> -h lists its options)"
+        rows = [(name, text) for name, (text, _) in COMMANDS.items()]
+    else:
+        about, heading = COMMANDS[sub][0], "options"
+        rows = [("-h, --help", "show this help and exit")]
+        for name, convert, default, text in _options(sub):
+            if convert is not None:
+                text += " (required)" if default is None else \
+                    f" (default {default})"
+            rows.append((_form(name, convert), text))
+    width = max(len(left) for left, _ in rows) + 2
+    print("\n".join([_usage(sub), "", about, "", heading + ":"]
+                    + [f"  {left:{width}}{text}" for left, text in rows]))
+    raise SystemExit(0)
 
 
 def run(args) -> dict:
@@ -121,6 +236,74 @@ def run(args) -> dict:
     raise ValueError(f"unknown subcommand {args.subcommand}")
 
 
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
+            "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def json_text(value) -> str:
+    """A plain JSON value (dicts with string keys, lists, strings, ints,
+    floats, bools and None) written as `json.dumps(value, indent=2,
+    allow_nan=False)` writes it, byte for byte; a NaN or infinite float
+    raises ValueError, as there, and any other type TypeError.  Each
+    container joins the text of its items, so the writer holds the text of
+    one container's items and the joined text at a time."""
+    return _json(value, "\n")
+
+
+def _json(value, newline: str) -> str:
+    """`json_text` of a value that starts on a line opened by `newline`,
+    the line break and that line's indent."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return repr(value)
+    if kind is dict or kind is list:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = newline + "  "
+        if kind is dict:
+            parts = [_quote(k) + ": " + _json(v, inner)
+                     for k, v in value.items()]
+            brackets = "{}"
+        else:
+            parts = [_json(v, inner) for v in value]
+            brackets = "[]"
+        parts[0] = brackets[0] + inner + parts[0]
+        parts[-1] += newline + brackets[1]
+        return ("," + inner).join(parts)
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"{value!r} is not a JSON number")
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"{kind.__name__} is not a plain JSON type")
+
+
+def _quote(text: str) -> str:
+    """A JSON string as json's ensure_ascii writes it: printable ASCII but
+    quote and backslash as is, the rest escaped."""
+    if text.isascii() and text.isprintable() and '"' not in text \
+            and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
+def _escape(char: str) -> str:
+    if char in _ESCAPES:
+        return _ESCAPES[char]
+    if " " <= char <= "~":
+        return char
+    code = ord(char)
+    if code > 0xFFFF:  # a surrogate pair
+        code -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+    return "\\u%04x" % code
+
+
 def main(argv=None) -> int:
     if argv is None:
         # the process exits next: frozen objects skip the shutdown collection,
@@ -131,19 +314,7 @@ def main(argv=None) -> int:
             return main(sys.argv[1:])
         finally:
             gc.freeze()
-    parser = build_parser()
-    argv = list(argv)
-    # argparse reads a value such as -1/2, -inf or -3,-1 as an option, so
-    # join each value that starts with a minus sign to its option
-    i = 0
-    while i < len(argv) - 1:
-        if argv[i] in ("--chain", "--lambda", "--tol") and argv[i + 1].startswith("-"):
-            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
-        i += 1
-    args = parser.parse_args(argv)
-    # argparse drops a value of exactly "--" (as in --n=--) and stores []
-    if [] in vars(args).values():
-        parser.error("an option was given '--' as its value")
+    args = parse_args(list(argv))
     if not args.as_json:
         # import before the checks: after verify-maps it adds 0.4 MB of RSS
         from .reports import render_table
@@ -154,7 +325,7 @@ def main(argv=None) -> int:
         return 2
     if args.as_json:
         try:
-            text = json.dumps(report, indent=2, allow_nan=False)
+            text = json_text(report)
         except ValueError:
             # only a failed check yields a non-finite value, such as a
             # NaN residual, and strict JSON has no way to write it

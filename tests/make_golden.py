@@ -8,8 +8,8 @@ reruns every argv and compares.  The argvs are stored in the file, so the
 test needs neither `perfbench` nor this script's choices.  Groups:
 
 - workloads: the distinct argvs of `perfbench.workloads.build_ops` for the
-  four workloads at seeds 1-3 that finish in under `MAX_SECONDS`; the
-  larger ones are listed under `left_out` with their time.
+  four workloads at seeds 1-3 that stand for at most `MAX_ITEMS` items;
+  the larger ones are listed under `left_out` with their items.
 - grid: `strata` for 12 lambdas and `links` for m <= 7, -1 <= k <= m, on
   both surfaces, each as a table and with `--json`.
 - decompositions: `--n 0` to `--n 7` at the default depth; `--n 0` to
@@ -19,7 +19,8 @@ test needs neither `perfbench` nor this script's choices.  Groups:
 
 A verify-maps argv that runs its checks is left out everywhere: their
 floating-point output depends on the installed numpy, which is not pinned.
-Its refusals come before numpy loads and stay in.
+Its refusals come before numpy loads and stay in.  The file depends on the
+code and these rules only: regenerating it on one tree gives the same file.
 """
 
 from __future__ import annotations
@@ -29,15 +30,17 @@ import hashlib
 import io
 import json
 import sys
-import time
 from pathlib import Path
 
 from ruledstrata import cli
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
-#: The longest an op of the workloads may take to be recorded.
-MAX_SECONDS = 0.3
+#: The most items (rows, chain entries or samples; `Op.items`) an op of the
+#: workloads may stand for to be recorded.  The recorded ops stand for at most
+#: 2,089 and take under 0.3 s each; the 50,000-row `strata` tables and the
+#: 30,070- and 50,522-row `decompositions` take a second or more.
+MAX_ITEMS = 10_000
 
 LAMBDAS = ("-1/2", "0", "1/7", "1/2", "1", "2", "5/2", "3", "10/3", "7/2",
            "7", "20")
@@ -49,18 +52,18 @@ def run_cli(argv: list[str]) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # an argparse refusal
+        except SystemExit as exc:  # a usage error
             code = exc.code
     return {"exit": code,
             "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
             "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
 
 
-def runs_checks(argv: list[str]) -> bool:
+def runs_checks(argv: tuple[str, ...]) -> bool:
     """Whether a verify-maps argv gets past its argument checks."""
     if argv[0] != "verify-maps":
         return False
-    args = cli.build_parser().parse_args(argv)
+    args = cli.parse_args(argv)
     try:
         cli.check_verify_maps_args(args.samples, args.seed, args.tol)
     except ValueError:
@@ -68,17 +71,18 @@ def runs_checks(argv: list[str]) -> bool:
     return True
 
 
-def workload_argvs() -> list[list[str]]:
+def workload_items() -> dict[tuple[str, ...], int]:
+    """Each distinct argv of the workloads, first seen first, with the most
+    items it stands for."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     from perfbench.workloads import WORKLOADS, build_ops, load_references
     refs = load_references()
-    argvs = []
+    items = {}
     for workload in WORKLOADS:
         for seed in (1, 2, 3):
             for op in build_ops(workload, seed, refs):
-                if list(op.argv) not in argvs:
-                    argvs.append(list(op.argv))
-    return argvs
+                items[op.argv] = max(items.get(op.argv, 0), op.items)
+    return items
 
 
 def grid_argvs() -> list[list[str]]:
@@ -134,16 +138,13 @@ def main() -> None:
         "refusals": refusal_argvs(),
     }
     left_out = []
-    for argv in workload_argvs():
+    for argv, items in workload_items().items():
         if runs_checks(argv):
             continue
-        start = time.perf_counter()
-        run_cli(argv)
-        seconds = time.perf_counter() - start
-        if seconds < MAX_SECONDS:
-            groups["workloads"].append(argv)
+        if items <= MAX_ITEMS:
+            groups["workloads"].append(list(argv))
         else:
-            left_out.append({"argv": argv, "seconds": round(seconds, 2)})
+            left_out.append({"argv": list(argv), "items": items})
     cases = {name: [{"argv": argv, **run_cli(argv)} for argv in argvs]
              for name, argvs in groups.items()}
     wrong = [case["argv"][:3] for case in cases["refusals"]

@@ -410,7 +410,7 @@ class TestVerifyMaps:
 
     def test_seed_digit_limit(self, capsys):
         # --seed is held to the digit limit of every integer the CLI reads,
-        # below the 4,300 digits at which argparse's int() gives up
+        # below the 4,300 digits at which int() gives up
         limit = cli.MAX_DIGITS
         assert limit == reports.MAX_DIGITS == 4000
         argv = ["verify-maps", "--samples", "1", "--seed", "9" * limit, "--json"]
@@ -495,7 +495,7 @@ class TestDecompositions:
     def test_depth_audit(self, capsys):
         # any negative depth is no bound, shown as null; a 4,000-digit depth
         # bounds nothing and is echoed; 5,000 digits are beyond what `int`
-        # reads from text, so argparse refuses them
+        # reads from text, so the option parser refuses them
         huge = "9" * 4000
         for flags in ([], ["--pointed"]):
             argv = ["decompositions", "--n", "4", *flags, "--depth"]
@@ -531,6 +531,73 @@ class TestParser:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_help_names_every_option(self, capsys):
+        for argv in (["-h"], ["--help"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            assert out.startswith("usage: ruledstrata [-h]")
+            assert all(sub in out for sub in cli.COMMANDS)
+        for sub, (_, options) in cli.COMMANDS.items():
+            for flag in ("-h", "--help"):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([sub, flag])
+                assert exc.value.code == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                assert captured.out.startswith(f"usage: ruledstrata {sub} ")
+                for name, *_ in options + (cli.JSON_OPTION,):
+                    assert f"  {name}" in captured.out
+
+    def test_unique_prefix_accepted(self, capsys):
+        code, report = run_json(capsys, ["strata", "--lam", "5/2"])
+        assert code == 0 and report["params"]["lambda"] == "5/2"
+        assert cli.main(["strata", "--lambda", "5/2", "--js"]) == 0
+        assert json.loads(capsys.readouterr().out) == report
+
+    @pytest.mark.parametrize("argv, error", [
+        (["verify-maps", "--s", "3"],
+         "ambiguous option: --s could match --samples, --seed"),
+        (["strata", "--lambda", "2", "--json=1"],
+         "argument --json: ignored explicit argument '1'"),
+        (["links", "--m", "2", "--k"], "argument --k: expected one argument"),
+        (["plumb", "--chain"], "argument --chain: expected one argument"),
+        (["links", "--m", "2"],
+         "the following arguments are required: --k"),
+        (["strata", "--lambda", "2", "--"], "unrecognized arguments: --"),
+    ])
+    def test_usage_errors(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, message = captured.err.splitlines()
+        assert usage.startswith(f"usage: ruledstrata {argv[0]} [-h]")
+        assert message == f"ruledstrata {argv[0]}: error: {error}"
+
+    def test_unknown_subcommand(self, capsys):
+        for argv in ([], ["bogus"], ["--json"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage: ruledstrata [-h] {strata,")
+            assert "\nruledstrata: error: " in captured.err
+
+    def test_values_starting_with_minus_reach_the_program(self, capsys):
+        # no value is read as an option, so the program's own checks decide
+        code, report = run_json(capsys, ["decompositions", "--n", "3",
+                                         "--depth", "-1"])
+        assert code == 0 and report["params"]["depth"] is None
+        assert cli.main(["strata", "--lambda", "-1/2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: lambda must be >= 0 on the product surface\n")
+        assert cli.main(["plumb", "--chain", "--"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_each_subcommand_takes_json(self, capsys):
         for argv in (["strata", "--lambda", "2"],
                      ["links", "--m", "2", "--k", "1"],
@@ -541,6 +608,43 @@ class TestParser:
             code, report = run_json(capsys, argv)
             assert code == 0
             assert report["pass"] is True
+
+
+class TestJsonText:
+    """`cli.json_text` writes what `json.dumps(indent=2, allow_nan=False)`
+    writes."""
+
+    @pytest.mark.parametrize("value", [
+        {}, [], [[]], {"a": {}}, {"a": [], "b": [{}]}, None, True, False,
+        0, -7, 10**300, 0.0, -0.0, 1e-9, 1e16, 5e-324, 1.7976931348623157e308,
+        "", "plain", 'quote " and \\ back', "\b\f\n\r\t\x00\x1f\x7f",
+        "caf\u00e9", "\u2028", "\U0001f600", "\ud800 lone",
+    ])
+    def test_matches_json_dumps(self, value):
+        assert cli.json_text(value) == json.dumps(value, indent=2,
+                                                  allow_nan=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(
+            allow_nan=False, allow_infinity=False) | st.text(),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+            st.text(), inner, max_size=4), max_leaves=20))
+    def test_matches_json_dumps_generated(self, value):
+        assert cli.json_text(value) == json.dumps(value, indent=2,
+                                                  allow_nan=False)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       [1, {"x": -float("inf")}]])
+    def test_non_finite_float_raises(self, value):
+        with pytest.raises(ValueError):
+            cli.json_text(value)
+
+    @pytest.mark.parametrize("value", [(1, 2), [np.float64(0.5)]])
+    def test_other_types_refused(self, value):
+        # reports hold plain JSON only: a tuple or numpy scalar is a bug
+        with pytest.raises(TypeError):
+            cli.json_text(value)
 
 
 class TestReportContracts:
@@ -640,7 +744,7 @@ def _reject_constant(name):
 
 @settings(max_examples=300, deadline=None)
 @given(_argv())
-# argparse stores [] for an option whose value is exactly "--"
+# a value of exactly "--" is an ordinary value, which the checks refuse
 @example(["plumb", "--chain", "--"])
 @example(["verify-maps", "--samples=--", "--json"])
 def test_cli_contract(argv):

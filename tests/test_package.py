@@ -18,11 +18,16 @@ NUMERIC_PROBE = ("import sys; print(sorted(m for m in sys.modules "
 # Prints every ruledstrata submodule a fresh interpreter has loaded.
 MODULE_PROBE = ("import sys; print(sorted(m for m in sys.modules "
                 "if m.startswith('ruledstrata.')))")
-# Prints which of dataclasses, inspect and numpy a fresh interpreter has
-# loaded; no exact subcommand needs them, and the first two take about 11 ms
-# to import.
-HEAVY_PROBE = ("import sys; print(sorted(m for m in sys.modules "
-               "if m in ('dataclasses', 'inspect', 'numpy')))")
+# Prints which of argparse and json a fresh interpreter has loaded; the
+# command line reads its options and writes JSON without them, which saves
+# about 10 ms of start-up.
+STDLIB_PROBE = ("import sys; print(sorted(m for m in sys.modules "
+                "if m in ('argparse', 'json')))")
+# Prints which of argparse, dataclasses, inspect, json and numpy a fresh
+# interpreter has loaded; no exact subcommand needs them, and dataclasses
+# with inspect take about 11 ms to import.
+HEAVY_PROBE = ("import sys; print(sorted(m for m in sys.modules if m in "
+               "('argparse', 'dataclasses', 'inspect', 'json', 'numpy')))")
 # Prints which of numpy.random and secrets a fresh interpreter has loaded;
 # together they cost verify-maps about 6 MB of peak RSS, and its sampler
 # needs neither.
@@ -54,15 +59,18 @@ def run_fresh(code: str, blas_threads: str | None = None) -> list[str]:
 
 def run_cli_fresh(argvs, probe=NUMERIC_PROBE, blas_threads=None) -> list[str]:
     """Run `cli.main` on each argv in one fresh interpreter, output captured;
-    print the exit codes, then what `probe` prints (by default the numeric
-    modules it loaded)."""
+    print the exit codes (a usage error's or help's SystemExit code too),
+    then what `probe` prints (by default the numeric modules it loaded)."""
     code = ("import contextlib, io\n"
             "from ruledstrata import cli\n"
             "codes = []\n"
             f"for argv in {argvs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
-            "        codes.append(cli.main(argv))\n"
+            "        try:\n"
+            "            codes.append(cli.main(argv))\n"
+            "        except SystemExit as exc:\n"
+            "            codes.append(exc.code)\n"
             "print(codes)\n" + probe)
     return run_fresh(code, blas_threads)
 
@@ -109,6 +117,18 @@ def test_exact_subcommand_loads_only_its_layers(argv, layers):
     code = str([0 if layers else 2])
     assert run_cli_fresh([argv], MODULE_PROBE + "\n" + HEAVY_PROBE) == [
         code, str(modules), "[]"]
+
+
+def test_no_subcommand_loads_argparse_or_json():
+    # verify-maps, which loads numpy, and help and usage errors read and
+    # write without argparse and json as well
+    argvs = [["verify-maps", "--samples", "5", "--json"],
+             ["verify-maps", "--samples", "5"], ["--help"],
+             ["decompositions", "-h"], ["links", "--m", "2"]]
+    assert run_cli_fresh(argvs, STDLIB_PROBE) == ["[0, 0, 0, 0, 2]", "[]"]
+    # the positive case: the probe sees both when they load
+    assert run_fresh("import argparse, json\n" + STDLIB_PROBE) == [
+        "['argparse', 'json']"]
 
 
 def test_verify_maps_table_loads_no_exact_layer():
@@ -203,7 +223,7 @@ def test_in_process_main_does_not_freeze(capsys):
 ])
 def test_process_main_freezes_before_exit(argv, code):
     # main() on sys.argv, as the console script calls it, freezes the
-    # objects before interpreter shutdown, also when argparse exits
+    # objects before interpreter shutdown, also on a usage error
     script = ("import atexit, gc, sys\n"
               "from ruledstrata import cli\n"
               "atexit.register(lambda: print('frozen at exit',"
