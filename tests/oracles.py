@@ -12,11 +12,13 @@ closed-form count behind the strata report.  Stratum codimensions follow
 the adjunction route through the tangent bundle's first Chern class, the
 reference for `homology.normal_codim`, and the stated link dimensions
 4(m - k) - 1 and 4m - 3 are the reference for its differences.  The three
-named lens spaces are the tests' reference values.
+named lens spaces are the tests' reference values.  The argparse parser the
+command line used to build is the reference for `cli.parse_args`.
 """
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import itertools
 import math
@@ -640,3 +642,29 @@ def branch_moduli_dim(d: int) -> int:
     if d < 1:
         raise ValueError("branch degree must be >= 1")
     return 4 * (d - 1)
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The command line's options as argparse read them, help text aside."""
+    parser = argparse.ArgumentParser(prog="ruledstrata")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    p = sub.add_parser("strata")
+    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--surface", default="trivial")
+    p = sub.add_parser("links")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--surface", default="trivial")
+    p = sub.add_parser("plumb")
+    p.add_argument("--chain", required=True)
+    p = sub.add_parser("verify-maps")
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p = sub.add_parser("decompositions")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--pointed", action="store_true")
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", dest="as_json")
+    return parser

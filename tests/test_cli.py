@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import argparse_parser
 from ruledstrata import cli, projective_maps, reports
 from ruledstrata.projective_maps import verify_maps_report
 from ruledstrata.reports import (
@@ -740,6 +741,29 @@ def _argv(draw):
 
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+@example(["links", "--m", "2", "--k", "1", "-1"])
+@example(["strata", "--lambda=2", "--json=1"])
+def test_parser_matches_argparse(argv):
+    # where argparse read an argv, parse_args reads the same values, and
+    # where it refused one, so does parse_args; except where a value starts
+    # with "-" (argparse took it for an option) or is "--" (argparse took it
+    # for the end of the options)
+    if any(tok.startswith("-") and prev in _VALUES or tok.endswith("--")
+           for prev, tok in zip(argv, argv[1:])):
+        return
+    results = []
+    for parse in (argparse_parser().parse_args, cli.parse_args):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                results.append(vars(parse(argv)))
+            except SystemExit as exc:
+                results.append(exc.code)
+    assert results[0] == results[1], argv
 
 
 @settings(max_examples=300, deadline=None)
