@@ -9,8 +9,6 @@ stratum has no degree here: the link pipeline enters it as the twist of
 `plumbing.plumb_with_ly`.
 """
 
-from __future__ import annotations
-
 #: Degree of the tangent bundle of the sphere.
 TANGENT_DEGREE = 2
 

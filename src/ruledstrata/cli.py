@@ -9,46 +9,25 @@ form no exact layer; `main` on `sys.argv` freezes every object before exit.
 
 The options are read against one table, COMMANDS, by `parse_args`, and a
 --json report is written by `json_text`, so a process loads neither
-argparse nor json: they took about 10 ms of each start-up.  An option takes
-its value as the next argument or after "=", whatever the value starts
-with, and a unique prefix names an option.  A usage error exits 2 with a
-usage line, as argparse's did; -h or --help prints the options and exits 0.
-"""
+argparse nor json: they took about 10 ms of each start-up.  A string that
+needs escaping goes to json's own escaper, imported then; no report of the
+exact subcommands holds one, since their inputs reach a report as numbers.
+An option takes its value as the next argument or after "=", whatever the
+value starts with, and a unique prefix names an option.  A usage error
+exits 2 with a usage line, as argparse's did; -h or --help prints the
+options and exits 0.
 
-from __future__ import annotations
+Nothing imports `cli`: the limits the layers share live in the package
+root, so `python -m ruledstrata.cli` runs this module once.
+"""
 
 import gc
 import math
 import os
 import sys
 
-#: The most samples verify-maps takes (10^6: 9.5-13 s and 30 MB, 2-vCPU VM).
-MAX_SAMPLES = 10**6
-
-#: The most decimal digits of an integer the CLI reads: a chain entry and the
-#: lens parameter p of `plumb`, each number in `strata`'s lambda, its exponent
-#: and its numerator and denominator, `links`' m and k, and `verify-maps`'
-#: seed.  CPython writes no int of more than 4,300 digits as text; the largest
-#: written from inputs within this limit, such as an area of 1 + lambda - k,
-#: stays below that.  It is defined here, not in `reports`, so that
-#: verify-maps checks its seed without loading the report builders.
-MAX_DIGITS = 4000
-
-
-def check_verify_maps_args(samples: int, seed: int, tol: float):
-    """Raise ValueError on verify-maps arguments out of range.  It needs no
-    numpy, so `run` refuses them before `projective_maps` loads."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"samples {samples} is above the limit {MAX_SAMPLES}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if seed >= 10**MAX_DIGITS:
-        raise ValueError(f"seed has more than {MAX_DIGITS} digits, the limit")
-
+# the package root holds the shared limits; they stay importable from here
+from . import MAX_DIGITS, MAX_SAMPLES, check_verify_maps_args  # noqa: F401
 
 #: The subcommands: each one's help line and options.  An option is (name,
 #: converter, default, help): a converter of None marks a flag, False until
@@ -236,10 +215,6 @@ def run(args) -> dict:
     raise ValueError(f"unknown subcommand {args.subcommand}")
 
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
-            "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
 def json_text(value) -> str:
     """A plain JSON value (dicts with string keys, lists, strings, ints,
     floats, bools and None) written as `json.dumps(value, indent=2,
@@ -285,23 +260,12 @@ def _json(value, newline: str) -> str:
 
 def _quote(text: str) -> str:
     """A JSON string as json's ensure_ascii writes it: printable ASCII but
-    quote and backslash as is, the rest escaped."""
+    quote and backslash as is, the rest escaped by json's own escaper."""
     if text.isascii() and text.isprintable() and '"' not in text \
             and "\\" not in text:
         return f'"{text}"'
-    return '"' + "".join(map(_escape, text)) + '"'
-
-
-def _escape(char: str) -> str:
-    if char in _ESCAPES:
-        return _ESCAPES[char]
-    if " " <= char <= "~":
-        return char
-    code = ord(char)
-    if code > 0xFFFF:  # a surrogate pair
-        code -= 0x10000
-        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
-    return "\\u%04x" % code
+    from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii(text)
 
 
 def main(argv=None) -> int:

@@ -15,8 +15,6 @@ Admissibility of a stratum is a strict inequality that can sit exactly on
 an integer boundary, so no floating point is used.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from fractions import Fraction

@@ -13,8 +13,6 @@ the forms needed by the link pipelines.  Link results are `Space` normal
 forms tagged "lens", "sphere_bundle3", "pullback_canonical" or "s5".
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .bundles import gluing_bundle, v2_bundle

@@ -16,14 +16,12 @@ without the suffix (`eval_h`, `proj_residual`, `critical_values`, ...),
 is the reference in the test suite's `tests/oracles.py`.
 """
 
-from __future__ import annotations
-
 import math
 import random
 
 import numpy as np
 
-from .cli import MAX_SAMPLES, check_verify_maps_args
+from . import MAX_SAMPLES, check_verify_maps_args
 
 DEFAULT_TOL = 1e-9
 CLUSTER_TOL = 1e-6

@@ -8,9 +8,7 @@ that produced them; exact rationals are fraction strings.  Each builder
 imports the layers it calls, so a process loads only those.
 """
 
-from __future__ import annotations
-
-from .cli import MAX_DIGITS
+from . import MAX_DIGITS
 
 
 def surface_by_name(name: str):

@@ -9,8 +9,6 @@ test suite's `tests/oracles.py` realizes each descriptor as an explicit
 tree of labeled components and checks it there; `reports` writes them.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple

@@ -1,6 +1,7 @@
 """Package-level contracts."""
 
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -23,11 +24,12 @@ MODULE_PROBE = ("import sys; print(sorted(m for m in sys.modules "
 # about 10 ms of start-up.
 STDLIB_PROBE = ("import sys; print(sorted(m for m in sys.modules "
                 "if m in ('argparse', 'json')))")
-# Prints which of argparse, dataclasses, inspect, json and numpy a fresh
-# interpreter has loaded; no exact subcommand needs them, and dataclasses
-# with inspect take about 11 ms to import.
+# Prints which of __future__, argparse, dataclasses, inspect, json and numpy
+# a fresh interpreter has loaded; no exact subcommand needs them, dataclasses
+# with inspect take about 11 ms to import and __future__ 0.2-0.3 ms.
 HEAVY_PROBE = ("import sys; print(sorted(m for m in sys.modules if m in "
-               "('argparse', 'dataclasses', 'inspect', 'json', 'numpy')))")
+               "('__future__', 'argparse', 'dataclasses', 'inspect', 'json', "
+               "'numpy')))")
 # Prints which of numpy.random and secrets a fresh interpreter has loaded;
 # together they cost verify-maps about 6 MB of peak RSS, and its sampler
 # needs neither.
@@ -119,13 +121,22 @@ def test_exact_subcommand_loads_only_its_layers(argv, layers):
         code, str(modules), "[]"]
 
 
-def test_no_subcommand_loads_argparse_or_json():
+def test_no_subcommand_loads_argparse_or_json(capsys):
     # verify-maps, which loads numpy, and help and usage errors read and
-    # write without argparse and json as well
+    # write without argparse and json as well; so do non-ASCII values, as a
+    # report holds them as numbers and a bad surface name goes to stderr
+    hostile = [["strata", "--lambda", "\u0663/\u0662", "--json"],
+               ["plumb", "--chain=\u0663,-1", "--json"],
+               ["strata", "--lambda", "2", "--surface", "caf\u00e9"]]
     argvs = [["verify-maps", "--samples", "5", "--json"],
              ["verify-maps", "--samples", "5"], ["--help"],
-             ["decompositions", "-h"], ["links", "--m", "2"]]
-    assert run_cli_fresh(argvs, STDLIB_PROBE) == ["[0, 0, 0, 0, 2]", "[]"]
+             ["decompositions", "-h"], ["links", "--m", "2"]] + hostile
+    assert run_cli_fresh(argvs, STDLIB_PROBE) == [
+        "[0, 0, 0, 0, 2, 0, 0, 2]", "[]"]
+    assert cli.main(hostile[0]) == 0
+    assert '"lambda": "3/2"' in capsys.readouterr().out
+    assert cli.main(hostile[1]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["chain"] == [3, -1]
     # the positive case: the probe sees both when they load
     assert run_fresh("import argparse, json\n" + STDLIB_PROBE) == [
         "['argparse', 'json']"]
@@ -248,6 +259,28 @@ def test_unknown_surface_refused(capsys):
         assert captured.out == ""
         assert captured.err == ("error: unknown surface 'bogus'; "
                                 "use trivial or nontrivial\n")
+
+
+def test_module_run_loads_cli_once():
+    # run as `python -m ruledstrata.cli`, the module is `__main__` and no
+    # layer imports it again as `ruledstrata.cli`; the output is the
+    # console script's
+    argv = ["links", "--m", "2", "--k", "0", "--json"]
+    probe = ("import atexit, sys\n"
+             "atexit.register(lambda: print('cli loaded',"
+             " 'ruledstrata.cli' in sys.modules, file=sys.stderr))\n"
+             f"sys.argv = ['ruledstrata'] + {argv!r}\n")
+    runs = [probe + "import runpy\n"
+            "runpy.run_module('ruledstrata.cli', run_name='__main__')\n",
+            probe + "from ruledstrata.cli import main\nsys.exit(main())\n"]
+    results = [subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                              capture_output=True, text=True)
+               for code in runs]
+    assert [r.returncode for r in results] == [0, 0]
+    assert [r.stderr for r in results] == ["cli loaded False\n",
+                                          "cli loaded True\n"]
+    assert results[0].stdout == results[1].stdout
+    assert json.loads(results[0].stdout)["subcommand"] == "links"
 
 
 def test_closed_pipe_exits_quietly():
