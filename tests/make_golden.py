@@ -14,7 +14,8 @@ test needs neither `perfbench` nor this script's choices.  Groups:
   both surfaces, each as a table and with `--json`.
 - decompositions: `--n 0` to `--n 7` at the default depth; `--n 0` to
   `--n 6` at depths -1, 0 and 1, and with `--pointed` at -1, 0, 1 and 3;
-  each as a table and with `--json`.
+  `--n 8` at depths 0, 1 and 3, plain and with `--pointed`; each as a
+  table and with `--json`.
 - refusals: the exit-2 argvs of the CI loop.
 
 A verify-maps argv that runs its checks is left out everywhere: their
@@ -103,6 +104,8 @@ def decompositions_argvs() -> list[list[str]]:
         argvs += [["decompositions", "--n", str(n), *pointed,
                    "--depth", str(depth)]
                   for n in range(7) for depth in depths]
+    argvs += [["decompositions", "--n", "8", *pointed, "--depth", str(depth)]
+              for pointed in ([], ["--pointed"]) for depth in (0, 1, 3)]
     return [a + tail for a in argvs for tail in ([], ["--json"])]
 
 

@@ -2,7 +2,8 @@
 
 Every recorded argv is rerun through in-process `cli.main`; its exit code
 and the sha256 of its stdout and stderr must match the record.
-`make_golden.py` regenerates the file and says what each group covers.
+`make_golden.py` regenerates the file and says what each group covers;
+`decompositions` reaches `--n 8` at depths 0, 1 and 3, plain and pointed.
 Left out, as too slow for this suite: the 50,000-row `strata --json`
 tables of the exact_core workload, `decompositions --n 8 --depth -1
 --json` and `--n 7 --depth -1 --pointed --json` of strata_enum (the file's
