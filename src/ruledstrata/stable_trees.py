@@ -70,51 +70,61 @@ def _partitions(n: int, cap: int | None = None):
 # the incidence point).  `_pointed_shapes_all` generates only the admissible
 # placements; it and `enumerate_strata` pick the branch that carries the
 # point by one generator, `_pointed_choices`.  No generator yields a shape
-# twice, and each list is built once per degree and `slot` or `ghost_path`.
+# twice.  Each takes an edge budget: a root with p children gives each child
+# pool p fewer and drops the combinations over budget, so a bounded depth
+# never builds the full list.  Each budget is clamped to the most edges of
+# its kind, 2d - 2, or 2d - 1 for a pointed shape below a nonconstant
+# component, so unbounded runs build one list per degree and kind.
 
 
 @lru_cache(maxsize=None)
-def _shapes_all(d: int, slot: tuple) -> tuple[tuple, ...]:
-    """Unpointed shapes of degree d with nodes (degree, *slot, children).
-
-    `slot` is () for plain shapes and (False,) inside a pointed shape.
-    """
+def _shapes_all(d: int, slot: tuple, budget: int) -> tuple[tuple, ...]:
+    """Unpointed shapes of degree d with at most `budget` edges and nodes
+    (degree, *slot, children); `slot` is () for plain shapes and (False,)
+    inside a pointed shape."""
     out = []
     for root_deg in range(d, -1, -1):
         for parts in _partitions(d - root_deg):
             if root_deg == 0 and len(parts) < 2:
                 continue
-            for combo in _multisets(parts, lambda v: _shapes_all(v, slot)):
+            for combo in _multisets(parts, _pool(budget - len(parts), slot)):
                 out.append((root_deg, *slot, tuple(sorted(combo))))
-    return tuple(sorted(out))
+    return tuple(sorted(out if budget >= 2 * d - 2 else
+                        [s for s in out if _shape_counts(s)[0] <= budget]))
+
+
+def _pool(spare: int, slot: tuple = (False,)):
+    """v -> the unpointed shapes of degree v with at most `spare` edges."""
+    return lambda v: _shapes_all(v, slot, min(spare, 2 * v - 2))
 
 
 @lru_cache(maxsize=None)
-def _pointed_shapes_all(d: int, ghost_path: bool) -> tuple[tuple, ...]:
-    """Admissible pointed shapes of degree d; `ghost_path` says whether every
-    ancestor of the shape's root is a ghost (vacuously true at the branch root).
-    """
-    def unmarked(v):
-        return _shapes_all(v, (False,))
-
+def _pointed_shapes_all(d: int, ghost_path: bool,
+                        budget: int) -> tuple[tuple, ...]:
+    """Admissible pointed shapes of degree d with at most `budget` edges;
+    `ghost_path` says whether every ancestor of the shape's root is a ghost
+    (vacuously true at the branch root)."""
     out = []
     for root_deg in range(d, -1, -1):
+        ghosts = ghost_path and root_deg == 0
         for parts in _partitions(d - root_deg):
+            spare = budget - len(parts)
             # point on this component (one special point), never on a ghost
             # reached from the branch root through ghosts only
             if root_deg > 0 or (parts and not ghost_path):
-                for combo in _multisets(parts, unmarked):
+                for combo in _multisets(parts, _pool(spare)):
                     out.append((root_deg, True, tuple(sorted(combo))))
             # point in one child subtree
             if root_deg == 0 and len(parts) < 2:
                 continue
             for _, child, others in _pointed_choices(
                     parts, lambda v: _pointed_shapes_all(
-                        v, ghost_path and root_deg == 0)):
-                for combo in _multisets(others, unmarked):
+                        v, ghosts, min(spare, 2 * v - 1 - ghosts))):
+                for combo in _multisets(others, _pool(spare)):
                     out.append((root_deg, False,
                                 tuple(sorted((child,) + combo))))
-    return tuple(sorted(out))
+    return tuple(sorted(out if budget >= 2 * d - 1 - ghost_path else
+                        [s for s in out if _shape_counts(s)[0] <= budget]))
 
 
 def _pointed_choices(parts, pool):
@@ -140,16 +150,15 @@ def branch_shapes(d: int, max_extra_nodes: int | None = 3,
                   pointed: bool = False) -> list[tuple]:
     """Shapes of degree-d branches with at most the given number of nodes.
 
-    The enumeration is finite even unbounded (ghosts need two children, so a
-    degree-d branch has at most 2d - 1 components); the bound just trims
-    deep degenerations.  Pass None for the full list.  With `pointed` the
-    shapes carry the marked point.
+    Ghosts need two children, so a degree-d branch has at most 2d - 1
+    components and 2d - 2 extra nodes: the enumeration is finite even
+    unbounded, and a bound of None or above 2d - 2 gives the same, full
+    list.  With `pointed` the shapes carry the marked point.
     """
-    shapes = list(_pointed_shapes_all(d, True) if pointed
-                  else _shapes_all(d, ()))
-    if max_extra_nodes is None:
-        return shapes
-    return [s for s in shapes if _shape_counts(s)[0] <= max_extra_nodes]
+    most = 2 * d - 2
+    budget = most if max_extra_nodes is None else min(max_extra_nodes, most)
+    return list(_pointed_shapes_all(d, True, budget) if pointed
+                else _shapes_all(d, (), budget))
 
 
 def shape_edges(shape) -> int:

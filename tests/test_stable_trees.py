@@ -1,5 +1,6 @@
 """Stability, partitions, stratum enumeration and combinatorial isotropy."""
 
+import functools
 import math
 
 import pytest
@@ -192,12 +193,27 @@ class TestEnumerateStrata:
     @pytest.mark.parametrize("pointed", [False, True])
     def test_cached_shape_counts_match_recursion(self, pointed):
         # enumerate_strata and branch_shapes read edge and automorphism
-        # counts from a per-shape cache; the plain recursions are the oracle
-        for d in range(1, 7):
+        # counts from a per-shape cache, and generate shapes within an edge
+        # budget; the plain recursions over the full lists are the oracle
+        for d in range(1, 9):
             full = branch_shapes(d, None, pointed=pointed)
-            for k in (0, 1, 3):
+            edges = [shape_edges(s) for s in full]
+            # each budget builds its own list: the near-full pointed lists
+            # of degree 8 take seconds apiece, so there only 0..5 and the cap
+            budgets = range(2 * d - 1)
+            if pointed and d == 8:
+                budgets = [*range(6), 2 * d - 2]
+            for k in budgets:
                 assert branch_shapes(d, k, pointed=pointed) == [
-                    s for s in full if shape_edges(s) <= k]
+                    s for s, e in zip(full, edges) if e <= k]
+        edges = functools.cache(shape_edges)
+        for n in range(1, 8):
+            every = enumerate_strata(n, None, pointed=pointed)
+            for k in (0, 1, 3):
+                assert enumerate_strata(n, k, pointed=pointed) == [
+                    desc for desc in every if all(
+                        edges(s) <= k for s in desc.shapes
+                        + ((desc.pointed_shape,) if pointed else ()))]
         for n in range(1, 7):
             for depth in (None, 3):
                 for desc in enumerate_strata(n, depth, pointed=pointed):
@@ -222,13 +238,15 @@ class TestEnumerateStrata:
     def test_each_degree_cached_once(self):
         # the top-level call and the recursion share one cache entry per
         # degree: plain shapes of degrees 1..6, and pointed shapes of 1..6
-        # at the branch root plus 1..5 below a nonconstant component
-        _shapes_all.cache_clear()
-        _pointed_shapes_all.cache_clear()
-        enumerate_strata(6, None)
-        assert _shapes_all.cache_info().currsize == 6
-        enumerate_strata(6, None, pointed=True)
-        assert _pointed_shapes_all.cache_info().currsize == 11
+        # at the branch root plus 1..5 below a nonconstant component; a
+        # depth at or above the most edges a branch can have is unbounded
+        for depth in (None, 12, 10**4000):
+            _shapes_all.cache_clear()
+            _pointed_shapes_all.cache_clear()
+            enumerate_strata(6, depth)
+            assert _shapes_all.cache_info().currsize == 6
+            enumerate_strata(6, depth, pointed=True)
+            assert _pointed_shapes_all.cache_info().currsize == 11
 
     def test_json_schema(self):
         for desc in enumerate_strata(2):
