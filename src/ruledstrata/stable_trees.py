@@ -70,11 +70,11 @@ def _partitions(n: int, cap: int | None = None):
 # the incidence point).  `_pointed_shapes_all` generates only the admissible
 # placements; it and `enumerate_strata` pick the branch that carries the
 # point by one generator, `_pointed_choices`.  No generator yields a shape
-# twice.  Each takes an edge budget: a root with p children gives each child
-# pool p fewer and drops the combinations over budget, so a bounded depth
-# never builds the full list.  Each budget is clamped to the most edges of
-# its kind, 2d - 2, or 2d - 1 for a pointed shape below a nonconstant
-# component, so unbounded runs build one list per degree and kind.
+# twice.  Each takes an edge budget: a root with p children passes its
+# budget less p to each child's pool and drops the combinations over it, so
+# a bounded depth never builds the full list.  Each budget is clamped to the
+# most edges of its kind, 2d - 2, or 2d - 1 for a pointed shape below a
+# nonconstant component, so unbounded runs build one list a degree and kind.
 
 
 @lru_cache(maxsize=None)
