@@ -79,8 +79,8 @@ def _partitions(n: int, cap: int | None = None):
 
 @lru_cache(maxsize=None)
 def _shapes_all(d: int, slot: tuple, budget: int) -> tuple[tuple, ...]:
-    """Unpointed shapes of degree d with at most `budget` edges and nodes
-    (degree, *slot, children); `slot` is () for plain shapes and (False,)
+    """Unpointed shapes of degree d with at most `budget` edges, with nodes
+    (degree, *slot, children): `slot` is () for plain shapes and (False,)
     inside a pointed shape."""
     out = []
     for root_deg in range(d, -1, -1):

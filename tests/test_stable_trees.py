@@ -206,13 +206,13 @@ class TestEnumerateStrata:
             for k in budgets:
                 assert branch_shapes(d, k, pointed=pointed) == [
                     s for s, e in zip(full, edges) if e <= k]
-        edges = functools.cache(shape_edges)
+        edges_of = functools.cache(shape_edges)
         for n in range(1, 8):
             every = enumerate_strata(n, None, pointed=pointed)
             for k in (0, 1, 3):
                 assert enumerate_strata(n, k, pointed=pointed) == [
                     desc for desc in every if all(
-                        edges(s) <= k for s in desc.shapes
+                        edges_of(s) <= k for s in desc.shapes
                         + ((desc.pointed_shape,) if pointed else ()))]
         for n in range(1, 7):
             for depth in (None, 3):
