@@ -15,6 +15,7 @@ from ruledstrata.reports import (
     decompositions_report,
     links_report,
     plumb_report,
+    render_table,
     strata_report,
     surface_by_name,
 )
@@ -646,6 +647,45 @@ class TestJsonText:
         # reports hold plain JSON only: a tuple or numpy scalar is a bug
         with pytest.raises(TypeError):
             cli.json_text(value)
+
+
+#: A report no subcommand builds, holding every kind of cell and tail field
+#: the table writer meets: float cells in `.3e` and NaN, bool, list and dict
+#: cells, a column the first row lacks, the tail fields out of their written
+#: order, and the fields the table leaves out (`rule`, `sublink`).
+SYNTHETIC_REPORT = {
+    "subcommand": "synthetic",
+    "params": {"n": 2, "pointed": False},
+    "rows": [
+        {"check": "zero", "maxResidual": 0.0, "pass": True, "worst": [0, 1]},
+        {"check": "tiny", "maxResidual": 1.404e-15, "pass": True,
+         "worst": [], "diagnostic": {"degree": -3}},
+        {"check": "nan", "maxResidual": float("nan"), "pass": False,
+         "worst": [7], "diagnostic": {}},
+    ],
+    "rule": "left-out",
+    "blow_down_trace": [[-2, -1], [-1]],
+    "display": "L(4,1)",
+    "sublink": {"tag": "lens"},
+    "trace": [{"rule": "gluing-bundle-degree", "bundle": -4}],
+    "pass": False,
+}
+
+
+class TestRenderTable:
+    def test_synthetic_report(self):
+        # every column is padded to its widest cell, the last one too
+        assert render_table(SYNTHETIC_REPORT) == (
+            "# synthetic  {'n': 2, 'pointed': False}\n"
+            "check  maxResidual  pass   worst   diagnostic    \n"
+            "-----  -----------  -----  ------  --------------\n"
+            "zero   0.000e+00    True   [0, 1]                \n"
+            "tiny   1.404e-15    True   []      {'degree': -3}\n"
+            "nan    nan          False  [7]     {}            \n"
+            "trace: [{'rule': 'gluing-bundle-degree', 'bundle': -4}]\n"
+            "display: L(4,1)\n"
+            "blow_down_trace: [[-2, -1], [-1]]\n"
+            "pass: False")
 
 
 class TestReportContracts:
