@@ -4,18 +4,18 @@ Subcommands: strata, links, plumb, verify-maps, decompositions.  Reports
 print as fixed-width tables by default or as JSON with --json; exit status
 is 0 when every check passed, 1 on a failed check or a closed stdout pipe,
 2 on invalid input.  Each subcommand loads only the layers it calls: only
-verify-maps loads numpy, after its arguments are checked, and its --json
-form no exact layer; `main` on `sys.argv` freezes every object before exit.
+verify-maps loads numpy, after its arguments are checked, and no exact
+layer or `reports`; `main` on `sys.argv` freezes every object before exit.
 
-The options are read against one table, COMMANDS, by `parse_args`, and a
---json report is written by `json_text`, so a process loads neither
-argparse nor json: they took about 10 ms of each start-up.  A string that
-needs escaping goes to json's own escaper, imported then; no report of the
-exact subcommands holds one, since their inputs reach a report as numbers.
-An option takes its value as the next argument or after "=", whatever the
-value starts with, and a unique prefix names an option.  A usage error
-exits 2 with a usage line, as argparse's did; -h or --help prints the
-options and exits 0.
+The options are read against one table, COMMANDS, by `parse_args`; this
+module writes every report, as a table by `render_table` or with --json by
+`json_text`, so a process loads neither argparse nor json: they took about
+10 ms of each start-up.  A string that needs escaping goes to json's own
+escaper, imported then; no report of the exact subcommands holds one, since
+their inputs reach a report as numbers.  An option takes its value as the
+next argument or after "=", whatever the value starts with, and a unique
+prefix names an option.  A usage error exits 2 with a usage line, as
+argparse's did; -h or --help prints the options and exits 0.
 
 Nothing imports `cli`: the limits the layers share live in the package
 root, so `python -m ruledstrata.cli` runs this module once.
@@ -268,6 +268,43 @@ def _quote(text: str) -> str:
     return encode_basestring_ascii(text)
 
 
+def render_table(report: dict) -> str:
+    """Fixed-width text rendering of a report's rows."""
+    lines = [f"# {report['subcommand']}  {report['params']}"]
+    rows = report.get("rows")
+    if rows:
+        keys = []
+        for row in rows:
+            for key in row:
+                if key not in keys:
+                    keys.append(key)
+        widths = {}
+        rendered = []
+        for row in rows:
+            cells = {k: _cell(row.get(k, "")) for k in keys}
+            rendered.append(cells)
+            for k in keys:
+                widths[k] = max(widths.get(k, len(k)), len(cells[k]))
+        lines.append("  ".join(k.ljust(widths[k]) for k in keys))
+        lines.append("  ".join("-" * widths[k] for k in keys))
+        for cells in rendered:
+            lines.append("  ".join(cells[k].ljust(widths[k]) for k in keys))
+    for key in ("trace", "l_z", "result", "display", "sublink_display",
+                "diagnostic", "blow_down_trace", "blow_down_result"):
+        if key in report:
+            lines.append(f"{key}: {report[key]}")
+    lines.append(f"pass: {report['pass']}")
+    return "\n".join(lines)
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.3e}"
+    if isinstance(value, (dict, list)):
+        return repr(value)
+    return str(value)
+
+
 def main(argv=None) -> int:
     if argv is None:
         # the process exits next: frozen objects skip the shutdown collection,
@@ -279,9 +316,6 @@ def main(argv=None) -> int:
         finally:
             gc.freeze()
     args = parse_args(list(argv))
-    if not args.as_json:
-        # import before the checks: after verify-maps it adds 0.4 MB of RSS
-        from .reports import render_table
     try:
         report = run(args)
     except ValueError as exc:

@@ -1,5 +1,5 @@
-"""Report builders for strata, links, plumb and decompositions, and the
-table rendering of every report; verify-maps is built in `projective_maps`.
+"""Report builders for strata, links, plumb and decompositions; verify-maps
+is built in `projective_maps`, and `cli` writes every report.
 
 Each builder returns a plain-JSON dictionary, so reports parse back to
 themselves, and only this module turns the layers' records and tuples into
@@ -261,44 +261,3 @@ def decompositions_report(n: int, depth: int | None, pointed: bool) -> dict:
         "rows": [_stratum_row(d) for d in descriptors],
         "pass": True,
     }
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def render_table(report: dict) -> str:
-    """Fixed-width text rendering of a report's rows."""
-    lines = [f"# {report['subcommand']}  {report['params']}"]
-    rows = report.get("rows")
-    if rows:
-        keys = []
-        for row in rows:
-            for key in row:
-                if key not in keys:
-                    keys.append(key)
-        widths = {}
-        rendered = []
-        for row in rows:
-            cells = {k: _cell(row.get(k, "")) for k in keys}
-            rendered.append(cells)
-            for k in keys:
-                widths[k] = max(widths.get(k, len(k)), len(cells[k]))
-        lines.append("  ".join(k.ljust(widths[k]) for k in keys))
-        lines.append("  ".join("-" * widths[k] for k in keys))
-        for cells in rendered:
-            lines.append("  ".join(cells[k].ljust(widths[k]) for k in keys))
-    for key in ("trace", "l_z", "result", "display", "sublink_display",
-                "diagnostic", "blow_down_trace", "blow_down_result"):
-        if key in report:
-            lines.append(f"{key}: {report[key]}")
-    lines.append(f"pass: {report['pass']}")
-    return "\n".join(lines)
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.3e}"
-    if isinstance(value, (dict, list)):
-        return repr(value)
-    return str(value)

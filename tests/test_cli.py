@@ -10,12 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import argparse_parser
 from ruledstrata import cli, projective_maps, reports
+from ruledstrata.cli import render_table
 from ruledstrata.projective_maps import verify_maps_report
 from ruledstrata.reports import (
     decompositions_report,
     links_report,
     plumb_report,
-    render_table,
     strata_report,
     surface_by_name,
 )

@@ -143,12 +143,12 @@ def test_no_subcommand_loads_argparse_or_json(capsys):
 
 
 def test_verify_maps_table_loads_no_exact_layer():
-    # the table form loads `reports` to render, and no layer with it; numpy
-    # itself imports `inspect`, but nothing imports `dataclasses`
+    # `cli` writes the table itself, so the table form loads no `reports`
+    # and no exact layer; numpy itself imports `inspect`, but nothing
+    # imports `dataclasses`
     probe = MODULE_PROBE + "\nprint('dataclasses' in sys.modules)"
     assert run_cli_fresh([["verify-maps", "--samples", "5"]], probe) == [
-        "[0]", "['ruledstrata.cli', 'ruledstrata.projective_maps', "
-        "'ruledstrata.reports']", "False"]
+        "[0]", "['ruledstrata.cli', 'ruledstrata.projective_maps']", "False"]
 
 
 def test_bad_verify_maps_arguments_refused_before_numpy():
@@ -206,7 +206,7 @@ def test_verify_maps_json_loads_no_exact_layer():
 
 
 def test_verify_maps_table_renders():
-    # the table form loads `reports` only to render
+    # the table form, written by `cli` itself
     result = subprocess.run(
         [sys.executable, "-m", "ruledstrata.cli", "verify-maps", "--samples",
          "5"], env=fresh_env(), capture_output=True, text=True)
