@@ -2,12 +2,12 @@
 double-cover stratum.
 
 Everything here is double-precision complex arithmetic with projective,
-scale-invariant comparisons: two homogeneous tuples agree when all their
-2x2 minors vanish once each tuple is divided by its largest modulus, and a
-point satisfies a homogeneous equation when the equation is small at the
-point so divided.  Random sampling takes an explicit generator: the report
-draws each row from its own counter-based `Sampler` stream, keyed by the
-seed and the row's check, so runs are reproducible per seed.
+scale-invariant comparisons.  Each identity is an equation on raw rows,
+which `residual_rows` divides by their largest moduli before it takes the
+equation's largest modulus: two tuples agree when their 2x2 minors
+(`minors_rows`) vanish, and a point lies on the quadric or the cone when
+`quadric_rows` or `cone_rows` does.  Each report row draws from its own
+`Sampler` stream, keyed by the seed and its check, so runs repeat per seed.
 
 Each model has one form here, on the rows of an (n, k) complex array,
 named with a `_rows` suffix; `verify_maps_report` with its `VERIFY_CHECKS`
@@ -49,13 +49,13 @@ def _modulus(a: np.ndarray) -> np.ndarray:
 
 
 def _row_max(m: np.ndarray) -> np.ndarray:
-    """Largest entry of each row of a nonnegative (n, k) array, NaN kept.
+    """Row maxima of a nonnegative (n, k) or (n,) array, NaN kept.
 
     Folds the k columns: numpy reduces along a short last axis an order
     of magnitude more slowly.
     """
     out = np.zeros(len(m))
-    for col in m.T:
+    for col in m.reshape(len(m), -1).T:
         out = np.maximum(out, col)
     return out
 
@@ -81,19 +81,24 @@ def _unit_rows(a) -> np.ndarray:
 _MINORS = {k: np.triu_indices(k, 1) for k in range(1, 5)}
 
 
-def proj_residual_rows(x, y) -> np.ndarray:
-    """`proj_residual` of each pair of rows of two (n, k) arrays.
+def residual_rows(equation, *arrays) -> np.ndarray:
+    """The one array residual helper: the largest modulus of `equation` at
+    each row of (n, k) arrays, once `_unit_rows` has checked and scaled it."""
+    return _row_max(_modulus(equation(*map(_unit_rows, arrays))))
 
-    This is the one array residual helper: every batch residual goes
-    through `_unit_rows`, which checks the rows and divides each by its
-    scale before any minor or equation is formed.
-    """
-    x, y = _unit_rows(x), _unit_rows(y)
+
+def minors_rows(x, y) -> np.ndarray:
+    """The 2x2 minors x_i y_j - x_j y_i, i < j, of two (n, k) arrays."""
     if x.shape != y.shape:
         raise ValueError("length mismatch")
     k = x.shape[1]
     i, j = _MINORS[k] if k in _MINORS else np.triu_indices(k, 1)
-    return _row_max(_modulus(_mul(x[:, i], y[:, j]) - _mul(x[:, j], y[:, i])))
+    return _mul(x[:, i], y[:, j]) - _mul(x[:, j], y[:, i])
+
+
+def proj_residual_rows(x, y) -> np.ndarray:
+    """`proj_residual` of each pair of rows of two (n, k) arrays."""
+    return residual_rows(minors_rows, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +112,10 @@ def eval_h_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.stack([x0y0, x1y1, x0y1 + x1y0 - x0y0 - x1y1], axis=1)
 
 
-def quadric_residual_rows(pts) -> np.ndarray:
-    """`quadric_residual` of each row of an (n, 3) array."""
-    u, v, w = _unit_rows(pts).T
-    return _modulus(_mul(u + v + w, u + v + w) - _mul(4 * u, v))
+def quadric_rows(pts) -> np.ndarray:
+    """(u + v + w)^2 - 4uv at each row of an (n, 3) array."""
+    u, v, w = pts.T
+    return _mul(u + v + w, u + v + w) - _mul(4 * u, v)
 
 
 def tau_rows(pts: np.ndarray) -> np.ndarray:
@@ -130,25 +135,25 @@ def eval_phi32_rows(pts: np.ndarray) -> np.ndarray:
     return _mul(pts[:, [0, 1, 2, 0]], pts[:, [0, 1, 2, 1]])
 
 
-def y_residual_rows(pts) -> np.ndarray:
-    """`y_residual` of each row of an (n, 4) array."""
-    u, v, w, t = _unit_rows(pts).T
-    return _modulus(_mul(t, t) - _mul(u, v))
+def cone_rows(pts) -> np.ndarray:
+    """t^2 - uv at each row [u:v:w:t] of an (n, 4) array."""
+    u, v, w, t = pts.T
+    return _mul(t, t) - _mul(u, v)
 
 
 # ---------------------------------------------------------------------------
 # degree-2 self-maps of the sphere
 
 
-def _quadratic_roots_rows(w: np.ndarray) -> np.ndarray:
-    """`_homogeneous_quadratic_roots` of each row of an (n, 3) array, as
-    (n, 2, 2) homogeneous pairs.
+def _quadratic_roots_rows(w: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """`_homogeneous_quadratic_roots` of each row of an (n, 3) array, given
+    its row scales, as (n, 2, 2) homogeneous pairs.
 
     Leading coefficients below 1e-14 of the row scale give roots at
     infinity; full quadratics are solved by the companion matrices that
     `np.roots` builds, so both forms find the same roots, bit for bit.
     """
-    t = w / _row_max(_modulus(w))[:, None]
+    t = w / scale[:, None]
     roots = np.ones((len(t), 2, 2), dtype=complex)
     small = _modulus(t[:, :2]) < 1e-14
     at_inf = small[:, 0]
@@ -180,14 +185,14 @@ def critical_values_rows(num, den) -> tuple[np.ndarray, np.ndarray]:
     ae, bd, af, cd, bf, ce = _mul(np.stack([a, b, a, c, b, c]),
                                   np.stack([e, d, f, d, f, e]))
     w = np.stack([ae - bd, 2 * (af - cd), bf - ce], axis=1)
-    disc = _mul(w[:, 1], w[:, 1]) - _mul(4 * w[:, 0], w[:, 2])
-    # disc is exactly 4x the resultant
+    # |disc| is exactly 4x the resultant's modulus
+    disc = _modulus(_mul(w[:, 1], w[:, 1]) - _mul(4 * w[:, 0], w[:, 2]))
     size = (_row_max(_modulus(num)) * _row_max(_modulus(den))) ** 2
-    if not np.all(_modulus(disc) > 4 * DEFAULT_TOL * size):
+    if not np.all(disc > 4 * DEFAULT_TOL * size):
         raise ValueError("numerator and denominator share a root")
     scale = _row_max(_modulus(w))
-    degenerate = _modulus(disc) < DEFAULT_TOL * scale**2
-    pts = _quadratic_roots_rows(w)
+    degenerate = disc < DEFAULT_TOL * scale**2
+    pts = _quadratic_roots_rows(w, scale)
     pts[degenerate, 1] = pts[degenerate, 0]
     # numerator and denominator (axis 0) at both points (axis 1) at once,
     # with the sample axis last
@@ -203,10 +208,11 @@ def unordered_pair_residual_rows(pairs_a: np.ndarray, pairs_b: np.ndarray
     """`unordered_pair_residual` of each pair of rows of two (n, 2, k)
     arrays; a NaN residual is kept, not dropped."""
     n, _, k = pairs_a.shape
-    # a0 against b0, a1 against b1, a0 against b1, a1 against b0
-    r = proj_residual_rows(pairs_a[:, [0, 1, 0, 1]].reshape(-1, k),
-                           pairs_b[:, [0, 1, 1, 0]].reshape(-1, k)).reshape(n, 4)
-    return np.minimum(np.maximum(r[:, 0], r[:, 1]), np.maximum(r[:, 2], r[:, 3]))
+    # a0 with b0, a1 with b1, a0 with b1, a1 with b0; each point scaled once
+    a = _unit_rows(pairs_a.reshape(-1, k)).reshape(n, 2, k)[:, [0, 1, 0, 1]]
+    b = _unit_rows(pairs_b.reshape(-1, k)).reshape(n, 2, k)[:, [0, 1, 1, 0]]
+    r = _row_max(_modulus(minors_rows(a.reshape(-1, k), b.reshape(-1, k))))
+    return np.minimum(np.maximum(r[0::4], r[1::4]), np.maximum(r[2::4], r[3::4]))
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +243,13 @@ def count_phi30_rows(targets) -> np.ndarray:
         eval_phi30_rows(candidates.reshape(-1, 3)),
         np.repeat(target, len(_PHI30_SIGNS), axis=0),
     ).reshape(len(target), -1) < 1e3 * DEFAULT_TOL
+    unit = _unit_rows(candidates.reshape(-1, 3)).reshape(candidates.shape)
     reps = np.zeros_like(verified)
     for j in range(len(_PHI30_SIGNS)):
         new = verified[:, j]
         for k in range(j):
-            new = new & (~reps[:, k] | (proj_residual_rows(
-                candidates[:, j], candidates[:, k]) >= CLUSTER_TOL))
+            new = new & (~reps[:, k] | (_row_max(_modulus(minors_rows(
+                unit[:, j], unit[:, k]))) >= CLUSTER_TOL))
         reps[:, j] = new
     return reps.sum(axis=1)
 
@@ -439,7 +446,7 @@ def _h_symmetry(rng, n):
 
 def _h_diagonal(rng, n):
     p = random_proj_rows(rng, n, 2)
-    return quadric_residual_rows(eval_h_rows(p, p))
+    return residual_rows(quadric_rows, eval_h_rows(p, p))
 
 
 def _tau_invariance(rng, n):
@@ -448,8 +455,8 @@ def _tau_invariance(rng, n):
 
 
 def _cover_line(s1, s2):
-    return lambda rng, n: quadric_residual_rows(
-        eval_phi30_rows(random_cover_line_rows(rng, n, s1, s2)))
+    return lambda rng, n: residual_rows(quadric_rows, eval_phi30_rows(
+        random_cover_line_rows(rng, n, s1, s2)))
 
 
 def _s5_norm(rng, n):
@@ -496,8 +503,8 @@ VERIFY_CHECKS = (
      [_h_diagonal]),
     ("phi32-tau-invariance", "involution-quotient", None, None,
      [_tau_invariance]),
-    ("phi32-image-on-cone", "cone-equation", None, None, [
-        lambda rng, n: y_residual_rows(eval_phi32_rows(random_proj_rows(rng, n, 3)))]),
+    ("phi32-image-on-cone", "cone-equation", None, None, [lambda rng, n:
+        residual_rows(cone_rows, eval_phi32_rows(random_proj_rows(rng, n, 3)))]),
     ("phi30-lines-to-quadric", "cover-lines-over-quadric", None, None,
      [_cover_line(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]),
     ("s5-identification-norm", "quotient-sphere-identification", 1e-12, None,

@@ -38,6 +38,7 @@ from ruledstrata.projective_maps import (
     Sampler,
     _generic_rows,
     _unit_rows,
+    cone_rows,
     count_phi30_rows,
     critical_values_rows,
     eval_h_rows,
@@ -45,20 +46,20 @@ from ruledstrata.projective_maps import (
     eval_phi32_rows,
     orbit_space_map_rows,
     proj_residual_rows,
-    quadric_residual_rows,
+    quadric_rows,
     random_cover_line_rows,
     random_generic_square_rows,
     random_line_target_rows,
     random_proj_rows,
     random_separated_pair_rows,
     random_unit_sphere_rows,
+    residual_rows,
     s5_identification_rows,
     splitmix64,
     tau_rows,
     unordered_pair_residual_rows,
     verify_maps_report,
     weighted_circle_orbit_rows,
-    y_residual_rows,
 )
 
 RNG = lambda: np.random.default_rng(42)  # noqa: E731
@@ -414,7 +415,7 @@ class TestBatchOracle:
         with pytest.raises(ValueError, match="finite coordinates"):
             proj_residual_rows(rows, rows[::-1])
         with pytest.raises(ValueError, match="finite coordinates"):
-            quadric_residual_rows(np.hstack([rows, rows[:, :1]]))
+            residual_rows(quadric_rows, np.hstack([rows, rows[:, :1]]))
         with pytest.raises(ValueError, match="length mismatch"):
             proj_residual_rows(good, random_proj_rows(RNG(), 3, 3))
 
@@ -435,11 +436,11 @@ class TestBatchOracle:
         cover = random_cover_line_rows(rng, self.N, 1, -1)
         for rows in (random_proj_rows(rng, self.N, 3), on_quadric,
                      eval_phi30_rows(cover), near_copies(rng, on_quadric, 1e-9)):
-            assert_residuals_agree(quadric_residual_rows(rows),
+            assert_residuals_agree(residual_rows(quadric_rows, rows),
                                    [quadric_residual(a) for a in points(rows)])
         t = random_proj_rows(rng, self.N, 3)
         for rows in (random_proj_rows(rng, self.N, 4), eval_phi32_rows(t)):
-            assert_residuals_agree(y_residual_rows(rows),
+            assert_residuals_agree(residual_rows(cone_rows, rows),
                                    [y_residual(a) for a in points(rows)])
 
     def test_sphere_maps(self):
@@ -537,6 +538,38 @@ class TestBatchOracle:
             assert counts.tolist() == [s.count for s in scalar]
             assert _generic_rows(_unit_rows(targets)).tolist() == [
                 s.generic for s in scalar]
+
+    def test_residuals_ignore_row_scale(self):
+        # each input row times 2^500 or 2^-500: both are exact, so a batch
+        # form that divides every row by its scale first gives the same
+        # bits, and one that skips `_unit_rows` moves by up to 2^2000
+        rng = RNG()
+
+        def scaled(rows):
+            exps = rng.choice([-500, 500], rows.shape[:-1])
+            return rows * np.ldexp(1.0, exps)[..., None]
+
+        def assert_scale_free(f, *arrays):
+            assert f(*arrays).tobytes() == f(*map(scaled, arrays)).tobytes()
+
+        for k in (2, 3, 4):
+            x = random_proj_rows(rng, self.N, k)
+            for y in (random_proj_rows(rng, self.N, k), near_copies(rng, x, 1e-12)):
+                assert_scale_free(proj_residual_rows, x, y)
+        p = random_proj_rows(rng, self.N, 2)
+        for rows in (random_proj_rows(rng, self.N, 3), eval_h_rows(p, p)):
+            assert_scale_free(lambda r: residual_rows(quadric_rows, r), rows)
+        t = random_proj_rows(rng, self.N, 3)
+        for rows in (random_proj_rows(rng, self.N, 4), eval_phi32_rows(t)):
+            assert_scale_free(lambda r: residual_rows(cone_rows, r), rows)
+        x, y = random_separated_pair_rows(rng, self.N)
+        a = np.stack([x, y], axis=1)
+        for b in (np.stack([y, x], axis=1), np.stack(random_separated_pair_rows(
+                rng, self.N), axis=1)):
+            assert_scale_free(unordered_pair_residual_rows, a, b)
+        for targets in (random_generic_square_rows(rng, self.N),
+                        *(random_line_target_rows(rng, self.N, i) for i in range(3))):
+            assert_scale_free(count_phi30_rows, targets)
 
 
 def scalar_draw(check, family, rng, n):
