@@ -307,10 +307,13 @@ def _cell(value) -> str:
 
 def main(argv=None) -> int:
     if argv is None:
-        # the process exits next: frozen objects skip the shutdown collection,
-        # which took 50.9 -> 10.7 ms for verify-maps, 18.8 -> 4.9 for links
-        # --json, 21.1 -> 5.2 for decompositions --n 4 --pointed (medians of
-        # 12 spawns, 2-vCPU VM); gc.disable() does not stop that collection
+        # exact builders make no reference cycles, so collecting their growing
+        # heap is waste (numpy's import leaves cycles).  Frozen objects skip
+        # the shutdown collection, which gc.disable() does not stop: 50.9 ->
+        # 10.7 ms for verify-maps, 18.8 -> 4.9 for links --json, 21.1 -> 5.2
+        # for decompositions --n 4 --pointed (medians of 12 spawns, 2-vCPU VM)
+        if sys.argv[1:2] != ["verify-maps"]:
+            gc.disable()
         try:
             return main(sys.argv[1:])
         finally:

@@ -215,7 +215,7 @@ def plumb_report(chain: list[int]) -> dict:
 
 
 #: The largest total fiber degree `decompositions_report` enumerates: at 8,
-#: `--pointed --depth -1 --json` takes 31 s and 1.9 GB (2-vCPU VM) and grows
+#: `--pointed --depth -1 --json` takes 25 s and 1.9 GB (2-vCPU VM) and grows
 #: sixfold a degree; a bounded `--depth` costs about its row count.
 MAX_FIBER_DEGREE = 8
 

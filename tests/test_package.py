@@ -251,6 +251,46 @@ def test_process_main_freezes_before_exit(argv, code):
     assert err[-1] == "frozen at exit True"
 
 
+@pytest.mark.parametrize("argv, collecting", [
+    (["links", "--m", "2", "--k", "1"], False),
+    (["decompositions", "--n", "3", "--pointed", "--json"], False),
+    (["verify-maps", "--samples", "5"], True),
+])
+def test_process_main_builds_exact_reports_without_collector(argv, collecting):
+    # main() on sys.argv turns the cyclic collector off before an exact
+    # report is built; verify-maps keeps it for the cycles numpy leaves
+    script = ("import gc, sys\n"
+              "from ruledstrata import cli\n"
+              "run = cli.run\n"
+              "cli.run = lambda args: print('collecting', gc.isenabled(),"
+              " file=sys.stderr) or run(args)\n"
+              f"sys.argv = ['ruledstrata'] + {argv!r}\n"
+              "sys.exit(cli.main())\n")
+    result = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == [f"collecting {collecting}"]
+
+
+def test_in_process_main_leaves_collector_alone():
+    # a caller of main(argv) keeps its own gc state, enabled or disabled
+    argvs = [["links", "--m", "2", "--k", "1"], ["strata", "--lambda", "1/0"],
+             ["decompositions", "--n", "3", "--json"],
+             ["verify-maps", "--samples", "5"]]
+    lines = run_fresh(
+        "import contextlib, gc, io\n"
+        "from ruledstrata import cli\n"
+        "for enable in (gc.enable, gc.disable):\n"
+        "    enable()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"        codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "    print(codes, gc.isenabled(), gc.get_threshold(),"
+        " gc.get_freeze_count())\n")
+    assert lines == ["[0, 2, 0, 0] True (700, 10, 10) 0",
+                     "[0, 2, 0, 0] False (700, 10, 10) 0"]
+
+
 def test_unknown_surface_refused(capsys):
     for argv in (["strata", "--lambda", "2", "--surface", "bogus"],
                  ["links", "--m", "2", "--k", "1", "--surface", "bogus"]):
