@@ -145,15 +145,14 @@ def cone_rows(pts) -> np.ndarray:
 # degree-2 self-maps of the sphere
 
 
-def _quadratic_roots_rows(w: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """`_homogeneous_quadratic_roots` of each row of an (n, 3) array, given
-    its row scales, as (n, 2, 2) homogeneous pairs.
+def _quadratic_roots_rows(t: np.ndarray) -> np.ndarray:
+    """`_homogeneous_quadratic_roots` of each row of an (n, 3) array divided
+    by its row scale, as (n, 2, 2) homogeneous pairs.
 
     Leading coefficients below 1e-14 of the row scale give roots at
     infinity; full quadratics are solved by the companion matrices that
     `np.roots` builds, so both forms find the same roots, bit for bit.
     """
-    t = w / scale[:, None]
     roots = np.ones((len(t), 2, 2), dtype=complex)
     small = _modulus(t[:, :2]) < 1e-14
     at_inf = small[:, 0]
@@ -192,7 +191,7 @@ def critical_values_rows(num, den) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("numerator and denominator share a root")
     scale = _row_max(_modulus(w))
     degenerate = disc < DEFAULT_TOL * scale**2
-    pts = _quadratic_roots_rows(w, scale)
+    pts = _quadratic_roots_rows(w / scale[:, None])
     pts[degenerate, 1] = pts[degenerate, 0]
     # numerator and denominator (axis 0) at both points (axis 1) at once,
     # with the sample axis last
@@ -208,11 +207,12 @@ def unordered_pair_residual_rows(pairs_a: np.ndarray, pairs_b: np.ndarray
     """`unordered_pair_residual` of each pair of rows of two (n, 2, k)
     arrays; a NaN residual is kept, not dropped."""
     n, _, k = pairs_a.shape
-    # a0 with b0, a1 with b1, a0 with b1, a1 with b0; each point scaled once
-    a = _unit_rows(pairs_a.reshape(-1, k)).reshape(n, 2, k)[:, [0, 1, 0, 1]]
-    b = _unit_rows(pairs_b.reshape(-1, k)).reshape(n, 2, k)[:, [0, 1, 1, 0]]
-    r = _row_max(_modulus(minors_rows(a.reshape(-1, k), b.reshape(-1, k))))
-    return np.minimum(np.maximum(r[0::4], r[1::4]), np.maximum(r[2::4], r[3::4]))
+    a = _unit_rows(pairs_a.reshape(-1, k))  # each point scaled once
+    b = _unit_rows(pairs_b.reshape(-1, k)).reshape(n, 2, k)
+    straight, crossed = (_row_max(_modulus(minors_rows(a, c.reshape(-1, k))))
+                         for c in (b, b[:, ::-1]))
+    return np.minimum(np.maximum(straight[0::2], straight[1::2]),
+                      np.maximum(crossed[0::2], crossed[1::2]))
 
 
 # ---------------------------------------------------------------------------
