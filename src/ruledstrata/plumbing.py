@@ -107,7 +107,6 @@ def chain_to_lens(eulers) -> Space:
     empty chain, the plumbing of nothing, bounds the 4-ball: its identity
     matrix gives the 3-sphere.
     """
-    eulers = [int(e) for e in eulers]
     m00, m01, m10, m11 = 1, 0, 0, 1
     for e in eulers:
         a = -e
@@ -141,7 +140,7 @@ def blow_down(chain: tuple[int, ...]) -> tuple[int, ...]:
 
 def blow_down_fully(chain) -> list[tuple[int, ...]]:
     """The blow-down trace: the chain, then each blow-down until none applies."""
-    trace = [tuple(int(e) for e in chain)]
+    trace = [tuple(chain)]
     while True:
         nxt = blow_down(trace[-1])
         if nxt is trace[-1]:

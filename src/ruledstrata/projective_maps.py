@@ -84,7 +84,8 @@ _MINORS = {k: np.triu_indices(k, 1) for k in range(1, 5)}
 def residual_rows(equation, *arrays) -> np.ndarray:
     """The one array residual helper: the largest modulus of `equation` at
     each row of (n, k) arrays, once `_unit_rows` has checked and scaled it."""
-    return _row_max(_modulus(equation(*map(_unit_rows, arrays))))
+    arrays = [_unit_rows(a) for a in arrays]  # drops the raw arrays
+    return _row_max(_modulus(equation(*arrays)))
 
 
 def minors_rows(x, y) -> np.ndarray:
@@ -94,11 +95,6 @@ def minors_rows(x, y) -> np.ndarray:
     k = x.shape[1]
     i, j = _MINORS[k] if k in _MINORS else np.triu_indices(k, 1)
     return _mul(x[:, i], y[:, j]) - _mul(x[:, j], y[:, i])
-
-
-def proj_residual_rows(x, y) -> np.ndarray:
-    """`proj_residual` of each pair of rows of two (n, k) arrays."""
-    return residual_rows(minors_rows, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +235,9 @@ def count_phi30_rows(targets) -> np.ndarray:
     """
     target = _unit_rows(targets)
     candidates = np.sqrt(target)[:, None, :] * _PHI30_SIGNS  # exact: signs
-    verified = proj_residual_rows(
-        eval_phi30_rows(candidates.reshape(-1, 3)),
-        np.repeat(target, len(_PHI30_SIGNS), axis=0),
+    verified = residual_rows(  # each target row scaled, then repeated
+        lambda c, t: minors_rows(c, np.repeat(t, len(_PHI30_SIGNS), axis=0)),
+        eval_phi30_rows(candidates.reshape(-1, 3)), target,
     ).reshape(len(target), -1) < 1e3 * DEFAULT_TOL
     unit = _unit_rows(candidates.reshape(-1, 3)).reshape(candidates.shape)
     reps = np.zeros_like(verified)
@@ -426,8 +422,8 @@ def random_separated_pair_rows(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     def draw(rng, m):
         return np.hstack([random_proj_rows(rng, m, 2),
                           random_proj_rows(rng, m, 2)])
-    pairs = _draw_until(rng, n, draw, lambda rows: proj_residual_rows(
-        rows[:, :2], rows[:, 2:]) >= MIN_PAIR_GAP)
+    pairs = _draw_until(rng, n, draw, lambda rows: residual_rows(
+        minors_rows, rows[:, :2], rows[:, 2:]) >= MIN_PAIR_GAP)
     return pairs[:, :2], pairs[:, 2:]
 
 
@@ -441,7 +437,7 @@ VERIFY_CHUNK = 1024
 
 def _h_symmetry(rng, n):
     p, q = random_proj_rows(rng, n, 2), random_proj_rows(rng, n, 2)
-    return proj_residual_rows(eval_h_rows(p, q), eval_h_rows(q, p))
+    return residual_rows(minors_rows, eval_h_rows(p, q), eval_h_rows(q, p))
 
 
 def _h_diagonal(rng, n):
@@ -451,7 +447,8 @@ def _h_diagonal(rng, n):
 
 def _tau_invariance(rng, n):
     p = random_proj_rows(rng, n, 3)
-    return proj_residual_rows(eval_phi32_rows(p), eval_phi32_rows(tau_rows(p)))
+    return residual_rows(minors_rows, eval_phi32_rows(p),
+                         eval_phi32_rows(tau_rows(p)))
 
 
 def _cover_line(s1, s2):
@@ -467,7 +464,8 @@ def _s5_norm(rng, n):
 def _orbit_invariance(rng, n):
     p = random_unit_sphere_rows(rng, n)
     moved = weighted_circle_orbit_rows(rng.uniform(0.0, 2.0 * np.pi, n), p)
-    return proj_residual_rows(orbit_space_map_rows(p), orbit_space_map_rows(moved))
+    return residual_rows(minors_rows, orbit_space_map_rows(p),
+                         orbit_space_map_rows(moved))
 
 
 def _round_trip(rng, n):

@@ -172,18 +172,18 @@ def links_report(m: int, k: int, surface) -> dict:
 MAX_CHAIN_LENGTH = 1000
 
 
-def parse_chain(text: str) -> list[int]:
-    """The Euler numbers of a comma-separated chain; an entry of more than
-    `MAX_DIGITS` digits raises before `int` reads it."""
+def parse_chain(text: str) -> tuple[int, ...]:
+    """The Euler numbers of a comma-separated chain, as a tuple; an entry of
+    more than `MAX_DIGITS` digits raises before `int` reads it."""
     entries = [x for x in text.split(",") if x.strip()]
     digits = max(len(x.strip().lstrip("+-")) for x in entries) if entries else 0
     if digits > MAX_DIGITS:
         raise ValueError(f"chain entry of {digits} digits is above the limit "
                          f"{MAX_DIGITS}")
-    return [int(x) for x in entries]
+    return tuple(int(x) for x in entries)
 
 
-def plumb_report(chain: list[int]) -> dict:
+def plumb_report(chain: tuple[int, ...]) -> dict:
     """Normal form of a linear plumbing chain, with the blow-down trace."""
     from . import plumbing
     if not chain:

@@ -1,6 +1,7 @@
 """Numeric checks for the explicit projective models."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -44,8 +45,8 @@ from ruledstrata.projective_maps import (
     eval_h_rows,
     eval_phi30_rows,
     eval_phi32_rows,
+    minors_rows,
     orbit_space_map_rows,
-    proj_residual_rows,
     quadric_rows,
     random_cover_line_rows,
     random_generic_square_rows,
@@ -350,7 +351,27 @@ def test_proj_residual_basics():
     # of the raw coordinates would overflow to inf - 1e200, then NaN
     assert proj_residual((1e200, 1e200), (1e200, 1)) == 1.0
     assert proj_residual((1e200, 1), (1e200, 1e200)) == 1.0
-    assert proj_residual_rows([[1e200, 1e200]], [[1e200, 1]]).tolist() == [1.0]
+    assert residual_rows(minors_rows, [[1e200, 1e200]],
+                         [[1e200, 1]]).tolist() == [1.0]
+
+
+def test_residual_rows_frees_raw_rows_before_the_equation():
+    # the raw rows are garbage once scaled, so only the scaled rows are
+    # alive while the equation forms its minors
+    raw = []
+
+    def fresh():
+        rows = np.array(random_proj_rows(RNG(), 8, 2))
+        raw.append(weakref.ref(rows))
+        return rows
+
+    def equation(x, y):
+        alive.extend(r() is not None for r in raw)
+        return minors_rows(x, y)
+
+    alive = []
+    residual_rows(equation, fresh(), fresh())
+    assert alive == [False, False]
 
 
 def test_exact_symmetries():
@@ -404,7 +425,7 @@ class TestBatchOracle:
         x = random_proj_rows(rng, self.N, k)
         for y in (random_proj_rows(rng, self.N, k), near_copies(rng, x, 1e-12)):
             assert_residuals_agree(
-                proj_residual_rows(x, y),
+                residual_rows(minors_rows, x, y),
                 [proj_residual(p, q) for p, q in zip(points(x), points(y))])
 
     @pytest.mark.parametrize("row", [[1, np.nan], [1, -np.inf],
@@ -413,11 +434,11 @@ class TestBatchOracle:
         good = random_proj_rows(RNG(), 3, 2)
         rows = np.vstack([good, [row]])
         with pytest.raises(ValueError, match="finite coordinates"):
-            proj_residual_rows(rows, rows[::-1])
+            residual_rows(minors_rows, rows, rows[::-1])
         with pytest.raises(ValueError, match="finite coordinates"):
             residual_rows(quadric_rows, np.hstack([rows, rows[:, :1]]))
         with pytest.raises(ValueError, match="length mismatch"):
-            proj_residual_rows(good, random_proj_rows(RNG(), 3, 3))
+            residual_rows(minors_rows, good, random_proj_rows(RNG(), 3, 3))
 
     def test_maps(self):
         rng = RNG()
@@ -555,7 +576,8 @@ class TestBatchOracle:
         for k in (2, 3, 4):
             x = random_proj_rows(rng, self.N, k)
             for y in (random_proj_rows(rng, self.N, k), near_copies(rng, x, 1e-12)):
-                assert_scale_free(proj_residual_rows, x, y)
+                assert_scale_free(lambda x, y: residual_rows(minors_rows, x, y),
+                                  x, y)
         p = random_proj_rows(rng, self.N, 2)
         for rows in (random_proj_rows(rng, self.N, 3), eval_h_rows(p, p)):
             assert_scale_free(lambda r: residual_rows(quadric_rows, r), rows)
