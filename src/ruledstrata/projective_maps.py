@@ -3,11 +3,12 @@ double-cover stratum.
 
 Everything here is double-precision complex arithmetic with projective,
 scale-invariant comparisons.  Each identity is an equation on raw rows,
-which `residual_rows` divides by their largest moduli before it takes the
-equation's largest modulus: two tuples agree when their 2x2 minors
-(`minors_rows`) vanish, and a point lies on the quadric or the cone when
-`quadric_rows` or `cone_rows` does.  Each report row draws from its own
-`Sampler` stream, keyed by the seed and its check, so runs repeat per seed.
+which `residual_rows` divides by their largest moduli before it folds the
+largest modulus of the equation's (n,) columns as they come: two tuples
+agree when their 2x2 minors (`minors_rows`) vanish, and a point lies on the
+quadric or the cone when `quadric_rows` or `cone_rows` does.  Each report
+row draws from its own `Sampler` stream, keyed by the seed and its check,
+so runs repeat per seed.
 
 Each model has one form here, on the rows of an (n, k) complex array,
 named with a `_rows` suffix; `verify_maps_report` with its `VERIFY_CHECKS`
@@ -48,15 +49,12 @@ def _modulus(a: np.ndarray) -> np.ndarray:
     return np.hypot(a.real, a.imag)
 
 
-def _row_max(m: np.ndarray) -> np.ndarray:
-    """Row maxima of a nonnegative (n, k) or (n,) array, NaN kept.
-
-    Folds the k columns: numpy reduces along a short last axis an order
-    of magnitude more slowly.
-    """
-    out = np.zeros(len(m))
-    for col in m.reshape(len(m), -1).T:
-        out = np.maximum(out, col)
+def _max_modulus(n: int, columns) -> np.ndarray:
+    """Row maxima of the moduli of (n,) complex columns, folded as they
+    arrive, NaN kept; n zeros for no column."""
+    out = np.zeros(n)
+    for col in columns:
+        out = np.maximum(out, _modulus(col))
     return out
 
 
@@ -67,7 +65,7 @@ def _unit_rows(a) -> np.ndarray:
     with a non-finite coordinate, or with every coordinate zero, raises.
     """
     a = np.ascontiguousarray(a, dtype=complex)
-    scale = _row_max(_modulus(a))
+    scale = _max_modulus(len(a), a.T)
     # a NaN or infinite coordinate makes the scale NaN or infinite
     if not np.all((scale > 0) & (scale < np.inf)):
         raise ValueError("projective point needs finite coordinates, "
@@ -76,25 +74,20 @@ def _unit_rows(a) -> np.ndarray:
     return (a.view(float) / scale[:, None]).view(complex)
 
 
-#: The index pairs (i, j), i < j, of the 2x2 minors of k-coordinate rows, by
-#: k, for the widths the models use; other widths build theirs per call.
-_MINORS = {k: np.triu_indices(k, 1) for k in range(1, 5)}
-
-
 def residual_rows(equation, *arrays) -> np.ndarray:
     """The one array residual helper: the largest modulus of `equation` at
     each row of (n, k) arrays, once `_unit_rows` has checked and scaled it."""
     arrays = [_unit_rows(a) for a in arrays]  # drops the raw arrays
-    return _row_max(_modulus(equation(*arrays)))
+    return _max_modulus(len(arrays[0]), equation(*arrays))
 
 
-def minors_rows(x, y) -> np.ndarray:
-    """The 2x2 minors x_i y_j - x_j y_i, i < j, of two (n, k) arrays."""
+def minors_rows(x, y):
+    """The 2x2 minors x_i y_j - x_j y_i, i < j, of two (n, k) arrays, one
+    (n,) column at a time."""
     if x.shape != y.shape:
         raise ValueError("length mismatch")
-    k = x.shape[1]
-    i, j = _MINORS[k] if k in _MINORS else np.triu_indices(k, 1)
-    return _mul(x[:, i], y[:, j]) - _mul(x[:, j], y[:, i])
+    return (_mul(x[:, i], y[:, j]) - _mul(x[:, j], y[:, i])
+            for i, j in zip(*np.triu_indices(x.shape[1], 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +101,10 @@ def eval_h_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.stack([x0y0, x1y1, x0y1 + x1y0 - x0y0 - x1y1], axis=1)
 
 
-def quadric_rows(pts) -> np.ndarray:
+def quadric_rows(pts) -> list:
     """(u + v + w)^2 - 4uv at each row of an (n, 3) array."""
     u, v, w = pts.T
-    return _mul(u + v + w, u + v + w) - _mul(4 * u, v)
+    return [_mul(u + v + w, u + v + w) - _mul(4 * u, v)]
 
 
 def tau_rows(pts: np.ndarray) -> np.ndarray:
@@ -131,10 +124,10 @@ def eval_phi32_rows(pts: np.ndarray) -> np.ndarray:
     return _mul(pts[:, [0, 1, 2, 0]], pts[:, [0, 1, 2, 1]])
 
 
-def cone_rows(pts) -> np.ndarray:
+def cone_rows(pts) -> list:
     """t^2 - uv at each row [u:v:w:t] of an (n, 4) array."""
     u, v, w, t = pts.T
-    return _mul(t, t) - _mul(u, v)
+    return [_mul(t, t) - _mul(u, v)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +168,27 @@ def critical_values_rows(num, den) -> tuple[np.ndarray, np.ndarray]:
     """
     num = np.asarray(num, dtype=complex)
     den = np.asarray(den, dtype=complex)
+    n, m = len(num), _mul
     a, b, c = num.T
     d, e, f = den.T
-    ae, bd, af, cd, bf, ce = _mul(np.stack([a, b, a, c, b, c]),
-                                  np.stack([e, d, f, d, f, e]))
-    w = np.stack([ae - bd, 2 * (af - cd), bf - ce], axis=1)
+    w = m(a, e) - m(b, d), 2 * (m(a, f) - m(c, d)), m(b, f) - m(c, e)
     # |disc| is exactly 4x the resultant's modulus
-    disc = _modulus(_mul(w[:, 1], w[:, 1]) - _mul(4 * w[:, 0], w[:, 2]))
-    size = (_row_max(_modulus(num)) * _row_max(_modulus(den))) ** 2
+    disc = _modulus(m(w[1], w[1]) - m(4 * w[0], w[2]))
+    size = (_max_modulus(n, num.T) * _max_modulus(n, den.T)) ** 2
     if not np.all(disc > 4 * DEFAULT_TOL * size):
         raise ValueError("numerator and denominator share a root")
-    scale = _row_max(_modulus(w))
+    scale = _max_modulus(n, w)
     degenerate = disc < DEFAULT_TOL * scale**2
-    pts = _quadratic_roots_rows(w / scale[:, None])
+    pts = _quadratic_roots_rows(np.stack(w, axis=1) / scale[:, None])
     pts[degenerate, 1] = pts[degenerate, 0]
-    # numerator and denominator (axis 0) at both points (axis 1) at once,
-    # with the sample axis last
-    x0, x1 = pts[..., 0].T[None], pts[..., 1].T[None]
-    a, b, c = np.stack([num.T, den.T], axis=1)[:, :, None]
-    m = _mul
-    values = m(m(a, x0), x0) + m(m(b, x0), x1) + m(m(c, x1), x1)
-    return values.transpose(2, 1, 0), degenerate
+    # values[:, i, j]: numerator (j = 0) or denominator at point i
+    values = np.empty((n, 2, 2), dtype=complex)
+    for i in (0, 1):
+        x0, x1 = pts[:, i].T
+        for j, (a, b, c) in enumerate((num.T, den.T)):
+            values[:, i, j] = (m(m(a, x0), x0) + m(m(b, x0), x1)
+                               + m(m(c, x1), x1))
+    return values, degenerate
 
 
 def unordered_pair_residual_rows(pairs_a: np.ndarray, pairs_b: np.ndarray
@@ -203,12 +196,12 @@ def unordered_pair_residual_rows(pairs_a: np.ndarray, pairs_b: np.ndarray
     """`unordered_pair_residual` of each pair of rows of two (n, 2, k)
     arrays; a NaN residual is kept, not dropped."""
     n, _, k = pairs_a.shape
-    a = _unit_rows(pairs_a.reshape(-1, k))  # each point scaled once
-    b = _unit_rows(pairs_b.reshape(-1, k)).reshape(n, 2, k)
-    straight, crossed = (_row_max(_modulus(minors_rows(a, c.reshape(-1, k))))
-                         for c in (b, b[:, ::-1]))
-    return np.minimum(np.maximum(straight[0::2], straight[1::2]),
-                      np.maximum(crossed[0::2], crossed[1::2]))
+    a, b = (_unit_rows(p.reshape(-1, k)).reshape(n, 2, k)  # scaled once
+            for p in (pairs_a, pairs_b))
+    r = {(i, j): _max_modulus(n, minors_rows(a[:, i], b[:, j]))
+         for i in (0, 1) for j in (0, 1)}
+    return np.minimum(np.maximum(r[0, 0], r[1, 1]),
+                      np.maximum(r[0, 1], r[1, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +211,7 @@ def unordered_pair_residual_rows(pairs_a: np.ndarray, pairs_b: np.ndarray
 def _generic_rows(pts: np.ndarray) -> np.ndarray:
     """Whether each row keeps all coordinates outside the generic margin."""
     size = _modulus(pts)
-    return size.min(axis=1) >= GENERIC_MARGIN * _row_max(size)
+    return size.min(axis=1) >= GENERIC_MARGIN * size.max(axis=1)
 
 
 #: The sign patterns (1, s1, s2) of the phi30 preimage candidates, in the
@@ -244,8 +237,8 @@ def count_phi30_rows(targets) -> np.ndarray:
     for j in range(len(_PHI30_SIGNS)):
         new = verified[:, j]
         for k in range(j):
-            new = new & (~reps[:, k] | (_row_max(_modulus(minors_rows(
-                unit[:, j], unit[:, k]))) >= CLUSTER_TOL))
+            new = new & (~reps[:, k] | (_max_modulus(len(unit), minors_rows(
+                unit[:, j], unit[:, k])) >= CLUSTER_TOL))
         reps[:, j] = new
     return reps.sum(axis=1)
 
@@ -409,7 +402,8 @@ def random_cover_line_rows(rng, n: int, s1: int, s2: int) -> np.ndarray:
     def draw(rng, m):
         y, z = random_proj_rows(rng, m, 2).T
         return np.stack([-(s1 * y + s2 * 1j * z), y, z], axis=1)
-    return _draw_until(rng, n, draw, lambda rows: _row_max(_modulus(rows)) > 0)
+    return _draw_until(rng, n, draw,
+                       lambda rows: _max_modulus(len(rows), rows.T) > 0)
 
 
 #: The least projective distance between the two points of a sampled pair.
@@ -431,7 +425,8 @@ def random_separated_pair_rows(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
 # verify-maps
 
 #: Samples drawn and checked at a time: enough that numpy's per-call cost
-#: does not dominate, few enough that a chunk's arrays stay near 100 kB.
+#: does not dominate, few enough that one chunk of any row peaks at
+#: 200-500 kB of arrays (tracemalloc), the largest adding to the peak RSS.
 VERIFY_CHUNK = 1024
 
 

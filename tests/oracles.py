@@ -2,8 +2,10 @@
 
 The scalar projective models take one point in plain complex arithmetic;
 each is the reference for the `_rows` form of `ruledstrata.projective_maps`
-and rounds as it does.  Only constants come from there, never a `_rows`
-model.  The stable-tree route realizes a `stable_trees` descriptor as an
+and rounds as it does.  The whole-array residual forms build each
+equation's full array of moduli, the bitwise reference for the residuals
+that fold them column by column.  Only constants come from there, never a
+`_rows` model.  The stable-tree route realizes a `stable_trees` descriptor as an
 explicit labeled tree, with stability, automorphisms and dimensions, and
 each branch shape's automorphisms are counted by recursion, the reference
 for the cached counts of `stable_trees`.  The admissible strata are listed
@@ -377,6 +379,123 @@ def orbit_space_map(p) -> ProjPoint:
     """
     x, y, z = _require_unit(p)
     return ProjPoint((x * x, y * y, z, x * y))
+
+
+# ---------------------------------------------------------------------------
+# whole-array residual forms
+#
+# The batch residuals as they stood before `projective_maps` folded each
+# equation's columns one at a time: every equation here builds its whole
+# (n, m) array, whose moduli are then reduced row by row.  They round as
+# the column-folded forms must, so those are held to them bit for bit.
+
+
+def _whole_mul(u, v):
+    re = u.real * v.real - u.imag * v.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = u.real * v.imag + u.imag * v.real
+    return out
+
+
+def _whole_modulus(a):
+    return np.hypot(a.real, a.imag)
+
+
+def _whole_row_max(m):
+    out = np.zeros(len(m))
+    for col in m.reshape(len(m), -1).T:
+        out = np.maximum(out, col)
+    return out
+
+
+def _whole_unit_rows(a):
+    a = np.ascontiguousarray(a, dtype=complex)
+    scale = _whole_row_max(_whole_modulus(a))
+    if not np.all((scale > 0) & (scale < np.inf)):
+        raise ValueError("projective point needs finite coordinates, "
+                         "not all zero")
+    return (a.view(float) / scale[:, None]).view(complex)
+
+
+def whole_residual_rows(equation, *arrays):
+    arrays = [_whole_unit_rows(a) for a in arrays]
+    return _whole_row_max(_whole_modulus(equation(*arrays)))
+
+
+def whole_minors_rows(x, y):
+    """All 2x2 minors of two (n, k) arrays as one (n, k(k-1)/2) array."""
+    if x.shape != y.shape:
+        raise ValueError("length mismatch")
+    i, j = np.triu_indices(x.shape[1], 1)
+    return _whole_mul(x[:, i], y[:, j]) - _whole_mul(x[:, j], y[:, i])
+
+
+def whole_quadric_rows(pts):
+    u, v, w = pts.T
+    return _whole_mul(u + v + w, u + v + w) - _whole_mul(4 * u, v)
+
+
+def whole_cone_rows(pts):
+    u, v, w, t = pts.T
+    return _whole_mul(t, t) - _whole_mul(u, v)
+
+
+def _whole_quadratic_roots_rows(t):
+    roots = np.ones((len(t), 2, 2), dtype=complex)
+    small = _whole_modulus(t[:, :2]) < 1e-14
+    at_inf = small[:, 0]
+    both_inf = at_inf & small[:, 1]
+    roots[at_inf, 0, 1] = 0
+    roots[both_inf, 1, 1] = 0
+    linear = at_inf & ~both_inf
+    roots[linear, 1, 0] = -t[linear, 2] / t[linear, 1]
+    full = ~at_inf
+    companion = np.zeros((int(full.sum()), 2, 2), dtype=complex)
+    companion[:, 0] = -t[full, 1:] / t[full, :1]
+    companion[:, 1, 0] = 1
+    roots[full, :, 0] = np.linalg.eigvals(companion)
+    return roots
+
+
+def whole_critical_values_rows(num, den):
+    """Branch values as the (2, 2, n) array of numerator and denominator
+    (axis 0) at both points (axis 1), transposed to (n, 2, 2)."""
+    num = np.asarray(num, dtype=complex)
+    den = np.asarray(den, dtype=complex)
+    a, b, c = num.T
+    d, e, f = den.T
+    ae, bd, af, cd, bf, ce = _whole_mul(np.stack([a, b, a, c, b, c]),
+                                        np.stack([e, d, f, d, f, e]))
+    w = np.stack([ae - bd, 2 * (af - cd), bf - ce], axis=1)
+    disc = _whole_modulus(_whole_mul(w[:, 1], w[:, 1])
+                          - _whole_mul(4 * w[:, 0], w[:, 2]))
+    size = (_whole_row_max(_whole_modulus(num))
+            * _whole_row_max(_whole_modulus(den))) ** 2
+    if not np.all(disc > 4 * DEFAULT_TOL * size):
+        raise ValueError("numerator and denominator share a root")
+    scale = _whole_row_max(_whole_modulus(w))
+    degenerate = disc < DEFAULT_TOL * scale**2
+    pts = _whole_quadratic_roots_rows(w / scale[:, None])
+    pts[degenerate, 1] = pts[degenerate, 0]
+    x0, x1 = pts[..., 0].T[None], pts[..., 1].T[None]
+    a, b, c = np.stack([num.T, den.T], axis=1)[:, :, None]
+    m = _whole_mul
+    values = m(m(a, x0), x0) + m(m(b, x0), x1) + m(m(c, x1), x1)
+    return values.transpose(2, 1, 0), degenerate
+
+
+def whole_unordered_pair_residual_rows(pairs_a, pairs_b):
+    """Straight and crossed minors of the scaled points, the crossed pairs
+    from a reversed copy of `pairs_b`."""
+    n, _, k = pairs_a.shape
+    a = _whole_unit_rows(pairs_a.reshape(-1, k))
+    b = _whole_unit_rows(pairs_b.reshape(-1, k)).reshape(n, 2, k)
+    straight, crossed = (
+        _whole_row_max(_whole_modulus(whole_minors_rows(a, c.reshape(-1, k))))
+        for c in (b, b[:, ::-1]))
+    return np.minimum(np.maximum(straight[0::2], straight[1::2]),
+                      np.maximum(crossed[0::2], crossed[1::2]))
 
 
 # ---------------------------------------------------------------------------

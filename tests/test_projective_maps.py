@@ -1,6 +1,7 @@
 """Numeric checks for the explicit projective models."""
 
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -27,6 +28,12 @@ from oracles import (
     tau,
     unordered_pair_residual,
     weighted_circle_orbit,
+    whole_cone_rows,
+    whole_critical_values_rows,
+    whole_minors_rows,
+    whole_quadric_rows,
+    whole_residual_rows,
+    whole_unordered_pair_residual_rows,
     y_residual,
 )
 from test_package import run_fresh
@@ -594,6 +601,119 @@ class TestBatchOracle:
             assert_scale_free(count_phi30_rows, targets)
 
 
+# ---------------------------------------------------------------------------
+# the column folds against the whole-array forms they replaced
+
+
+def outcome(f, *arrays):
+    """The bytes of each array `f` returns, or the message it raises."""
+    try:
+        out = f(*arrays)
+    except ValueError as exc:
+        return str(exc)
+    return [np.asarray(a).tobytes() for a in (out if type(out) is tuple
+                                              else (out,))]
+
+
+def with_bad_rows(rows, rng):
+    """Copies of `rows`, one for each non-finite value (NaN, inf, -inf and
+    a NaN imaginary part), with it put into three random rows."""
+    out = []
+    for bad in (np.nan, np.inf, -np.inf, complex(1, np.nan)):
+        copy = rows.copy()
+        at = rng.choice(len(rows), 3, replace=False)
+        copy.reshape(len(rows), -1)[at, rng.integers(copy[0].size)] = bad
+        out.append(copy)
+    return out
+
+
+def scaled_by(rows, rng, e=500):
+    """Each point times 2^e or 2^-e, both exact."""
+    exps = rng.choice([-e, e], rows.shape[:-1])
+    return rows * np.ldexp(1.0, exps)[..., None]
+
+
+class TestColumnFolds:
+    N = 300
+
+    def assert_same(self, f, oracle, *arrays, rejected=False):
+        got = outcome(f, *arrays)
+        assert got == outcome(oracle, *arrays)
+        assert isinstance(got, str) == rejected
+
+    def cases(self, rng, *arrays):
+        """(arrays, rejected) for the arrays as given, rescaled, and with
+        bad rows in each."""
+        yield arrays, False
+        yield [scaled_by(a, rng) for a in arrays], False
+        for i, a in enumerate(arrays):
+            for bad in with_bad_rows(a, rng):
+                yield [*arrays[:i], bad, *arrays[i + 1:]], True
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_minors(self, k):
+        rng = RNG()
+        x = random_proj_rows(rng, self.N, k)
+        if k == 1:  # no minors at all: n zeros, not one scalar
+            assert residual_rows(minors_rows, x, x).tobytes() == bytes(
+                8 * self.N)
+        for y in (random_proj_rows(rng, self.N, k), near_copies(rng, x, 1e-12)):
+            for arrays, rejected in self.cases(rng, x, y):
+                self.assert_same(
+                    lambda x, y: residual_rows(minors_rows, x, y),
+                    lambda x, y: whole_residual_rows(whole_minors_rows, x, y),
+                    *arrays, rejected=rejected)
+
+    def test_quadric_and_cone(self):
+        rng = RNG()
+        p = random_proj_rows(rng, self.N, 2)
+        t = random_proj_rows(rng, self.N, 3)
+        for equation, oracle, rows in (
+                (quadric_rows, whole_quadric_rows, random_proj_rows(rng, self.N, 3)),
+                (quadric_rows, whole_quadric_rows, eval_h_rows(p, p)),
+                (cone_rows, whole_cone_rows, random_proj_rows(rng, self.N, 4)),
+                (cone_rows, whole_cone_rows, eval_phi32_rows(t))):
+            for (rows,), rejected in self.cases(rng, rows):
+                self.assert_same(lambda r: residual_rows(equation, r),
+                                 lambda r: whole_residual_rows(oracle, r),
+                                 rows, rejected=rejected)
+
+    def test_unordered_pairs(self):
+        rng = RNG()
+        a = np.stack(random_separated_pair_rows(rng, self.N), axis=1)
+        for b in (a[:, ::-1],
+                  np.stack(random_separated_pair_rows(rng, self.N), axis=1)):
+            for arrays, rejected in self.cases(rng, a, b):
+                self.assert_same(unordered_pair_residual_rows,
+                                 whole_unordered_pair_residual_rows,
+                                 *arrays, rejected=rejected)
+
+    def test_critical_values(self):
+        rng = RNG()
+        x, y = random_separated_pair_rows(rng, self.N)
+        zero = np.zeros(self.N)
+        maps = [(np.stack([y[:, 0], zero, x[:, 0]], axis=1),
+                 np.stack([y[:, 1], zero, x[:, 1]], axis=1)),
+                (random_proj_rows(rng, self.N, 3),
+                 random_proj_rows(rng, self.N, 3)),
+                TestBatchOracle.near_confluent_maps(rng, self.N)]
+        for num, den in maps:
+            # the discriminant is quartic in the coefficients, so 2^500
+            # would overflow it
+            for arrays in ((num, den), (scaled_by(num, rng, 100),
+                                        scaled_by(den, rng, 100))):
+                self.assert_same(critical_values_rows,
+                                 whole_critical_values_rows, *arrays)
+            for bad in with_bad_rows(num, rng):
+                with np.errstate(invalid="ignore"):  # inf times 0 is NaN
+                    self.assert_same(critical_values_rows,
+                                     whole_critical_values_rows, bad, den,
+                                     rejected=True)
+        # the values array is laid out point by point, as it is indexed
+        values, _ = critical_values_rows(*maps[1])
+        assert values.flags.c_contiguous and values.shape == (self.N, 2, 2)
+
+
 def scalar_draw(check, family, rng, n):
     """One family of a verify-maps row point by point with the scalar forms,
     on the samples the batch draw takes from the same generator."""
@@ -722,6 +842,40 @@ def test_verify_maps_chunk_boundaries(n):
         assert 0 <= r["worstSample"] < r["samples"] * families(r["check"])
     again = verify_maps_report(n, 7, 1e-9)
     assert json.dumps(report) == json.dumps(again)
+
+
+#: The most memory, in bytes, that one chunk of any verify-maps row may
+#: allocate at once beyond what it started with.
+CHUNK_PEAK_BOUND = 600_000
+
+
+def test_verify_maps_chunk_peaks():
+    # one chunk of every row as the report draws it, each traced on its
+    # own; the equations fold their columns, so no chunk holds a stacked
+    # copy of its samples
+    def chunks(seed):
+        for check, _, _, cap, draws in VERIFY_CHECKS:
+            rng = Sampler(seed, check)
+            for draw in draws:
+                yield check, draw, rng, min(VERIFY_CHUNK, cap or VERIFY_CHUNK)
+
+    for _, draw, rng, n in chunks(1):  # first calls load what they need
+        draw(rng, n)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    peaks = {}
+    try:
+        for check, draw, rng, n in chunks(7):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            draw(rng, n)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            peaks[check] = max(peaks.get(check, 0), peak)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(peaks) == len(VERIFY_CHECKS)
+    assert max(peaks.values()) <= CHUNK_PEAK_BOUND, peaks
 
 
 def test_verify_maps_rows_draw_apart(monkeypatch):
