@@ -9,7 +9,8 @@ test needs neither `perfbench` nor this script's choices.  Groups:
 
 - workloads: the distinct argvs of `perfbench.workloads.build_ops` for the
   four workloads at seeds 1-3 that stand for at most `MAX_ITEMS` items;
-  the larger ones are listed under `left_out` with their items.
+  the larger ones are listed under `left_out` with their items, exit code
+  and hashes, which CI compares through the console script.
 - grid: `strata` for 12 lambdas and `links` for m <= 7, -1 <= k <= m, on
   both surfaces, each as a table and with `--json`.
 - decompositions: `--n 0` to `--n 7` at the default depth; `--n 0` to
@@ -147,7 +148,8 @@ def main() -> None:
         if items <= MAX_ITEMS:
             groups["workloads"].append(list(argv))
         else:
-            left_out.append({"argv": list(argv), "items": items})
+            left_out.append({"argv": list(argv), "items": items,
+                             **run_cli(list(argv))})
     cases = {name: [{"argv": argv, **run_cli(argv)} for argv in argvs]
              for name, argvs in groups.items()}
     wrong = [case["argv"][:3] for case in cases["refusals"]

@@ -7,8 +7,10 @@ and the sha256 of its stdout and stderr must match the record.
 Left out, as too slow for this suite: the 50,000-row `strata --json`
 tables of the exact_core workload, `decompositions --n 8 --depth -1
 --json` and `--n 7 --depth -1 --pointed --json` of strata_enum (the file's
-`left_out` list names each argv), and every verify-maps argv that runs its
-checks, whose floating-point output depends on the installed numpy.
+`left_out` list records each argv with its exit code and hashes, and CI
+compares them through the console script), and every verify-maps argv
+that runs its checks, whose floating-point output depends on the installed
+numpy.
 """
 
 import json
