@@ -26,8 +26,7 @@ import math
 import os
 import sys
 
-# the package root holds the shared limits; they stay importable from here
-from . import MAX_DIGITS, MAX_SAMPLES, check_verify_maps_args  # noqa: F401
+from . import check_verify_maps_args
 
 #: The subcommands: each one's help line and options.  An option is (name,
 #: converter, default, help): a converter of None marks a flag, False until

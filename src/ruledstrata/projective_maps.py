@@ -22,7 +22,7 @@ import random
 
 import numpy as np
 
-from . import MAX_SAMPLES, check_verify_maps_args
+from . import check_verify_maps_args
 
 DEFAULT_TOL = 1e-9
 CLUSTER_TOL = 1e-6
@@ -138,18 +138,14 @@ def _quadratic_roots_rows(t: np.ndarray) -> np.ndarray:
     """`_homogeneous_quadratic_roots` of each row of an (n, 3) array divided
     by its row scale, as (n, 2, 2) homogeneous pairs.
 
-    Leading coefficients below 1e-14 of the row scale give roots at
-    infinity; full quadratics are solved by the companion matrices that
-    `np.roots` builds, so both forms find the same roots, bit for bit.
+    One root is at infinity when the leading coefficient is below 1e-14 of
+    the row scale, never both (|disc| < 6.4e-13 `size`; the caller raises
+    below 4e-9 `size`); the rest are `np.roots`' companion roots, bit for bit.
     """
     roots = np.ones((len(t), 2, 2), dtype=complex)
-    small = _modulus(t[:, :2]) < 1e-14
-    at_inf = small[:, 0]
-    both_inf = at_inf & small[:, 1]
+    at_inf = _modulus(t[:, 0]) < 1e-14
     roots[at_inf, 0, 1] = 0
-    roots[both_inf, 1, 1] = 0
-    linear = at_inf & ~both_inf
-    roots[linear, 1, 0] = -t[linear, 2] / t[linear, 1]
+    roots[at_inf, 1, 0] = -t[at_inf, 2] / t[at_inf, 1]
     full = ~at_inf
     companion = np.zeros((int(full.sum()), 2, 2), dtype=complex)
     companion[:, 0] = -t[full, 1:] / t[full, :1]

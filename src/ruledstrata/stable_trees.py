@@ -70,11 +70,11 @@ def _partitions(n: int, cap: int | None = None):
 # the incidence point).  `_pointed_shapes_all` generates only the admissible
 # placements; it and `enumerate_strata` pick the branch that carries the
 # point by one generator, `_pointed_choices`.  No generator yields a shape
-# twice.  Each takes an edge budget: a root with p children passes its
-# budget less p to each child's pool and drops the combinations over it, so
-# a bounded depth never builds the full list.  Each budget is clamped to the
-# most edges of its kind, 2d - 2, or 2d - 1 for a pointed shape below a
-# nonconstant component, so unbounded runs build one list a degree and kind.
+# twice.  Each takes an edge budget: a root with p <= budget children passes
+# budget - p to each child's pool and drops the combinations over budget, so
+# a bounded depth builds neither the full list nor one for a negative budget.
+# Budgets are clamped to the most edges of their kind, 2d - 2, or 2d - 1 for
+# pointed shapes under a nonconstant node: one full list a degree and kind.
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +85,7 @@ def _shapes_all(d: int, slot: tuple, budget: int) -> tuple[tuple, ...]:
     out = []
     for root_deg in range(d, -1, -1):
         for parts in _partitions(d - root_deg):
-            if root_deg == 0 and len(parts) < 2:
+            if len(parts) > budget or root_deg == 0 and len(parts) < 2:
                 continue
             for combo in _multisets(parts, _pool(budget - len(parts), slot)):
                 out.append((root_deg, *slot, tuple(sorted(combo))))
@@ -111,11 +111,11 @@ def _pointed_shapes_all(d: int, ghost_path: bool,
             spare = budget - len(parts)
             # point on this component (one special point), never on a ghost
             # reached from the branch root through ghosts only
-            if root_deg > 0 or (parts and not ghost_path):
+            if spare >= 0 and (root_deg > 0 or (parts and not ghost_path)):
                 for combo in _multisets(parts, _pool(spare)):
                     out.append((root_deg, True, tuple(sorted(combo))))
             # point in one child subtree
-            if root_deg == 0 and len(parts) < 2:
+            if spare < 0 or root_deg == 0 and len(parts) < 2:
                 continue
             for _, child, others in _pointed_choices(
                     parts, lambda v: _pointed_shapes_all(
@@ -140,7 +140,7 @@ def _pointed_choices(parts, pool):
 def _multisets(parts, pool):
     """For each run of equal degrees v in `parts`, a multiset of shapes from
     `pool(v)`: every choice, concatenated in the order of `parts`."""
-    pools = [list(itertools.combinations_with_replacement(pool(v), m))
+    pools = [itertools.combinations_with_replacement(pool(v), m)
              for v, m in _runs(parts)]
     for pick in itertools.product(*pools):
         yield tuple(itertools.chain.from_iterable(pick))

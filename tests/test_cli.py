@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import argparse_parser
-from ruledstrata import cli, projective_maps, reports
+from ruledstrata import MAX_DIGITS, MAX_SAMPLES, cli, projective_maps, reports
 from ruledstrata.cli import render_table
 from ruledstrata.projective_maps import verify_maps_report
 from ruledstrata.reports import (
@@ -408,12 +408,12 @@ class TestVerifyMaps:
         assert captured.err == "error: seed must be >= 0, got -1\n"
         with pytest.raises(ValueError, match="seed"):
             verify_maps_report(5, -1, 1e-9)
-        assert projective_maps.MAX_SAMPLES == cli.MAX_SAMPLES == 10**6
+        assert MAX_SAMPLES == 10**6
 
     def test_seed_digit_limit(self, capsys):
         # --seed is held to the digit limit of every integer the CLI reads,
         # below the 4,300 digits at which int() gives up
-        limit = cli.MAX_DIGITS
+        limit = MAX_DIGITS
         assert limit == reports.MAX_DIGITS == 4000
         argv = ["verify-maps", "--samples", "1", "--seed", "9" * limit, "--json"]
         assert cli.main(argv) == 0

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ruledstrata import cli
+from ruledstrata import MAX_DIGITS, cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -156,7 +156,7 @@ def test_bad_verify_maps_arguments_refused_before_numpy():
              ["verify-maps", "--samples", "20", "--tol", "-1"],
              ["verify-maps", "--seed", "-1"],
              ["verify-maps", "--samples", "1000001", "--json"],
-             ["verify-maps", "--seed", "1" + "0" * cli.MAX_DIGITS]]
+             ["verify-maps", "--seed", "1" + "0" * MAX_DIGITS]]
     assert run_cli_fresh(argvs) == ["[2, 2, 2, 2, 2]", "[]"]
 
 

@@ -37,10 +37,9 @@ from oracles import (
     y_residual,
 )
 from test_package import run_fresh
-from ruledstrata import projective_maps
+from ruledstrata import MAX_SAMPLES, projective_maps
 from ruledstrata.projective_maps import (
     DEFAULT_TOL,
-    MAX_SAMPLES,
     VERIFY_CHECKS,
     VERIFY_CHUNK,
     Sampler,
@@ -547,7 +546,10 @@ class TestBatchOracle:
         for bad_num, bad_den in (([1, 0, 0], [1, 0, 0]),
                                  ([1, 0, -1e-13], [0, 1, 0]),
                                  ([0, 0, 0], [0, 1, 0]),
-                                 ([1, 1, np.sqrt(5) - 2 + 1e-10], [-1, 1, 1])):
+                                 ([1, 1, np.sqrt(5) - 2 + 1e-10], [-1, 1, 1]),
+                                 # both leading coefficients 0: the Jacobian
+                                 # would have both roots at infinity
+                                 ([0, 1, 2], [0, 3, 1])):
             with pytest.raises(ValueError):
                 RationalMapDeg2(bad_num, bad_den)
             with pytest.raises(ValueError, match="share a root"):
@@ -884,6 +886,67 @@ def test_verify_maps_rows_draw_apart(monkeypatch):
     rows = verify_maps_report(50, 3, 1e-9)["rows"]
     monkeypatch.setattr(projective_maps, "VERIFY_CHECKS", VERIFY_CHECKS[::-1])
     assert verify_maps_report(50, 3, 1e-9)["rows"] == rows[::-1]
+
+
+def _cover_line_without_i(rng, n, s1, s2):
+    y, z = random_proj_rows(rng, n, 2).T
+    return np.stack([-(s1 * y + s2 * z), y, z], axis=1)
+
+
+def _s5_stretch_by_modulus(pts):
+    x, y, z = np.asarray(pts, dtype=complex).T
+    stretch = np.sqrt(1.0 + np.abs(z))
+    return projective_maps._mul(np.stack([x, y, z], axis=1),
+                                np.stack([stretch, stretch, z], axis=1))
+
+
+def _orbit_weights_one(theta, pts):
+    rot = np.exp(1j * theta)
+    return projective_maps._mul(np.stack([rot, rot, rot], axis=1), pts)
+
+
+def _tau_negating_x(pts):
+    out = pts.copy()
+    out[:, 0] = -out[:, 0]
+    return out
+
+
+#: One plausible defect per verify-maps row: the row's check, the name in
+#: `projective_maps` the defect replaces, and its replacement.
+MUTANTS = {
+    "h-diagonal-on-quadric": ("eval_h_rows", lambda p, q: eval_h_rows(p, q)
+                              * np.array([1, 1, 1 + 1e-6])),
+    "phi32-tau-invariance": ("tau_rows", _tau_negating_x),
+    "phi32-image-on-cone": ("eval_phi32_rows", lambda pts: projective_maps._mul(
+        pts[:, [0, 1, 2, 0]], pts[:, [0, 1, 2, 2]])),
+    "phi30-lines-to-quadric": ("random_cover_line_rows", _cover_line_without_i),
+    "s5-identification-norm": ("s5_identification_rows",
+                               _s5_stretch_by_modulus),
+    "orbit-map-invariance": ("weighted_circle_orbit_rows", _orbit_weights_one),
+    "phi30-generic-preimages": ("_PHI30_SIGNS",
+                                projective_maps._PHI30_SIGNS[:3]),
+    "phi30-line-preimages": ("CLUSTER_TOL", 0),
+}
+
+
+@pytest.mark.parametrize("check", list(MUTANTS))
+def test_verify_maps_row_catches_its_mutant(check, monkeypatch):
+    """Each row passes on the code as it is and fails at 5,000 samples and
+    seed 42 once its defect is applied: the third coordinate of `eval_h`
+    times 1 + 1e-6, `tau` negating x instead of z, x*z for x*y in the cone
+    map, cover lines drawn without the factor i, the S^5 stretch
+    sqrt(1 + |z|) for sqrt(1 + |z|^2), circle weights (1, 1, 1), a dropped
+    sign pattern, and no preimage cluster merged.
+
+    Two rows are left out until they are repaired: `h-symmetry` reads 0.0
+    under the `eval_h` defect above, and `critical-values-round-trip`
+    passes when every root's first coordinate is multiplied by 1.5.
+    """
+    row = next(entry for entry in VERIFY_CHECKS if entry[0] == check)
+    monkeypatch.setattr(projective_maps, "VERIFY_CHECKS", (row,))
+    assert verify_maps_report(5000, 42, DEFAULT_TOL)["pass"]
+    monkeypatch.setattr(projective_maps, *MUTANTS[check])
+    assert not verify_maps_report(5000, 42, DEFAULT_TOL)["pass"]
 
 
 def test_verify_maps_samples_limit():

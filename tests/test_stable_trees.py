@@ -17,6 +17,7 @@ from oracles import (
     stratum_tree,
     top_stratum_dimension,
 )
+from ruledstrata import stable_trees
 from ruledstrata.homology import TRIVIAL
 from ruledstrata.stable_trees import (
     _pointed_shapes_all,
@@ -247,6 +248,29 @@ class TestEnumerateStrata:
             assert _shapes_all.cache_info().currsize == 6
             enumerate_strata(6, depth, pointed=True)
             assert _pointed_shapes_all.cache_info().currsize == 11
+
+    def test_no_list_for_a_negative_budget(self, monkeypatch):
+        # a root with more children than its edge budget is skipped, so no
+        # shape list is built or cached for a budget below zero; over this
+        # grid that leaves 642 lists of 2,391, the rest all empty
+        built = []
+        for name in ("_shapes_all", "_pointed_shapes_all"):
+            def record(*key, _build=getattr(stable_trees, name).__wrapped__):
+                built.append(key)
+                return _build(*key)
+            monkeypatch.setattr(stable_trees, name,
+                                functools.lru_cache(maxsize=None)(record))
+        total = 0
+        for n in range(1, 9):
+            for depth in (0, 1, 3):
+                for pointed in (False, True):
+                    stable_trees._shapes_all.cache_clear()
+                    stable_trees._pointed_shapes_all.cache_clear()
+                    built.clear()
+                    enumerate_strata(n, depth, pointed)
+                    assert built and min(key[-1] for key in built) >= 0
+                    total += len(built)
+        assert total <= 642
 
     def test_json_schema(self):
         for desc in enumerate_strata(2):
