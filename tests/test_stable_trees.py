@@ -251,8 +251,8 @@ class TestEnumerateStrata:
 
     def test_no_list_for_a_negative_budget(self, monkeypatch):
         # a root with more children than its edge budget is skipped, so no
-        # shape list is built or cached for a budget below zero; over this
-        # grid that leaves 642 lists of 2,391, the rest all empty
+        # shape list, which could only be empty, is built or cached for a
+        # budget below zero: 642 lists over this grid
         built = []
         for name in ("_shapes_all", "_pointed_shapes_all"):
             def record(*key, _build=getattr(stable_trees, name).__wrapped__):
