@@ -9,8 +9,9 @@ test needs neither `perfbench` nor this script's choices.  Groups:
 
 - workloads: the distinct argvs of `perfbench.workloads.build_ops` for the
   four workloads at seeds 1-3 that stand for at most `MAX_ITEMS` items;
-  the larger ones are listed under `left_out` with their items, exit code
-  and hashes, which CI compares through the console script.
+  the larger ones, and the `LEFT_OUT` argvs, are listed under `left_out`
+  with their items, exit code and hashes, which CI compares through the
+  console script.
 - grid: `strata` for 12 lambdas and `links` for m <= 7, -1 <= k <= m, on
   both surfaces, each as a table and with `--json`.
 - decompositions: `--n 0` to `--n 7` at the default depth; `--n 0` to
@@ -43,6 +44,11 @@ GOLDEN = Path(__file__).with_name("golden.json")
 #: 2,089 and take under 0.3 s each; the 50,000-row `strata` tables and the
 #: 30,070- and 50,522-row `decompositions` take a second or more.
 MAX_ITEMS = 10_000
+
+#: Argvs that no workload runs, recorded only under `left_out`, with their
+#: items: the largest `decompositions` inside the limits (304,074 rows).
+LEFT_OUT = ((("decompositions", "--n", "8", "--pointed", "--depth", "-1",
+              "--json"), 304_074),)
 
 LAMBDAS = ("-1/2", "0", "1/7", "1/2", "1", "2", "5/2", "3", "10/3", "7/2",
            "7", "20")
@@ -142,7 +148,7 @@ def main() -> None:
         "refusals": refusal_argvs(),
     }
     left_out = []
-    for argv, items in workload_items().items():
+    for argv, items in [*workload_items().items(), *LEFT_OUT]:
         if runs_checks(argv):
             continue
         if items <= MAX_ITEMS:
