@@ -469,16 +469,11 @@ def _round_trip(rng, n):
     return unordered_pair_residual_rows(found, np.stack([x, y], axis=1))
 
 
-def _generic_preimages(rng, n):
-    counts = count_phi30_rows(random_generic_square_rows(rng, n))
-    return np.abs(counts - 4).astype(float)
-
-
-def _line_preimages(i):
-    def draw(rng, n):
-        counts = count_phi30_rows(random_line_target_rows(rng, n, i))
-        return np.abs(counts - 2).astype(float)
-    return draw
+def _preimages(targets, expected):
+    """A draw of |preimage count - expected| at `targets(rng, n)`; each
+    caller's lambda looks its sampler up when it draws."""
+    return lambda rng, n: np.abs(
+        count_phi30_rows(targets(rng, n)) - expected).astype(float)
 
 
 #: One entry per verify-maps row, in report order: (check, rule, threshold
@@ -503,9 +498,10 @@ VERIFY_CHECKS = (
     ("critical-values-round-trip", "branch-point-normal-form", 1e-7, None,
      [_round_trip]),
     ("phi30-generic-preimages", "four-fold-cover", None, 100,
-     [_generic_preimages]),
+     [_preimages(lambda rng, n: random_generic_square_rows(rng, n), 4)]),
     ("phi30-line-preimages", "branch-line-cover", None, 100,
-     [_line_preimages(i) for i in range(3)]),
+     [_preimages(lambda rng, n, i=i: random_line_target_rows(rng, n, i), 2)
+      for i in range(3)]),
 )
 
 

@@ -8,6 +8,8 @@ that produced them; exact rationals are fraction strings.  Each builder
 imports the layers it calls, so a process loads only those.
 """
 
+import functools
+
 from . import MAX_DIGITS
 
 
@@ -220,9 +222,10 @@ def plumb_report(chain: tuple[int, ...]) -> dict:
 MAX_FIBER_DEGREE = 8
 
 
+@functools.lru_cache(maxsize=None)
 def _shape(shape) -> list:
     """A branch shape, nested tuples whose last entry holds the children,
-    as nested lists."""
+    as nested lists, one list per distinct shape until the cache is cleared."""
     return [*shape[:-1], [_shape(c) for c in shape[-1]]]
 
 
@@ -236,7 +239,8 @@ def _stratum_row(d) -> dict:
 
     A pointed descriptor adds "pointed": {"part", "tree"}, the degree and
     shape of the branch with the marked point, whose nodes are [degree,
-    marked, [children...]], and "inferred": true.
+    marked, [children...]], and "inferred": true.  Rows built before the
+    `_shape` cache is cleared share the list of each distinct shape.
     """
     row = {"parts": list(d.parts), "shape": [_shape(s) for s in d.shapes],
            "dim": d.dimension, "isotropy": d.isotropy}
@@ -255,9 +259,11 @@ def decompositions_report(n: int, depth: int | None, pointed: bool) -> dict:
                          f"{MAX_FIBER_DEGREE}")
     from . import stable_trees
     descriptors = stable_trees.enumerate_strata(n, depth, pointed=pointed)
+    rows = [_stratum_row(d) for d in descriptors]
+    _shape.cache_clear()
     return {
         "subcommand": "decompositions",
         "params": {"n": n, "depth": depth, "pointed": pointed},
-        "rows": [_stratum_row(d) for d in descriptors],
+        "rows": rows,
         "pass": True,
     }

@@ -67,64 +67,54 @@ def _partitions(n: int, cap: int | None = None):
 # ghost's image is the node on its first nonconstant ancestor, so the point
 # may not sit on a ghost whose whole path to the branch root consists of
 # ghosts (the root's image is the attach point on the stem curve, away from
-# the incidence point).  `_pointed_shapes_all` generates only the admissible
-# placements; it and `enumerate_strata` pick the branch that carries the
-# point by one generator, `_pointed_choices`.  No generator yields a shape
-# twice.  Each takes an edge budget: a root with p <= budget children passes
-# budget - p to each child's pool and drops the combinations over budget, so
-# a bounded depth builds neither the full list nor one for a negative budget.
+# the incidence point).  One generator, `_shapes_all`, builds both kinds,
+# with the point as an argument, and places the point only where admissible;
+# it and `enumerate_strata` pick the branch that carries the point by one
+# generator, `_pointed_choices`.  No shape is yielded twice.  An edge budget
+# bounds each list: a root with p <= budget children passes budget - p to
+# each child's pool and drops the combinations over budget, so a bounded
+# depth builds neither the full list nor one for a negative budget.
 # Budgets are clamped to the most edges of their kind, 2d - 2, or 2d - 1 for
 # pointed shapes under a nonconstant node: one full list a degree and kind.
 
 
 @lru_cache(maxsize=None)
-def _shapes_all(d: int, slot: tuple, budget: int) -> tuple[tuple, ...]:
-    """Unpointed shapes of degree d with at most `budget` edges, with nodes
-    (degree, *slot, children): `slot` is () for plain shapes and (False,)
-    inside a pointed shape."""
+def _shapes_all(d: int, slot: tuple, budget: int,
+                point: bool | None = None) -> tuple[tuple, ...]:
+    """Shapes of degree d with at most `budget` edges and nodes (degree,
+    *slot, children): `slot` is () for plain shapes and (False,) inside a
+    pointed shape.  With `point` None no node carries the marked point;
+    otherwise the shapes are the admissible pointed ones, with the point's
+    node (degree, True, children), and `point` says whether every ancestor
+    of the root is a ghost (vacuously true at the branch root)."""
     out = []
     for root_deg in range(d, -1, -1):
-        for parts in _partitions(d - root_deg):
-            if len(parts) > budget or root_deg == 0 and len(parts) < 2:
-                continue
-            for combo in _multisets(parts, _pool(budget - len(parts), slot)):
-                out.append((root_deg, *slot, tuple(sorted(combo))))
-    return tuple(sorted(out if budget >= 2 * d - 2 else
-                        [s for s in out if _shape_counts(s)[0] <= budget]))
-
-
-def _pool(spare: int, slot: tuple = (False,)):
-    """v -> the unpointed shapes of degree v with at most `spare` edges."""
-    return lambda v: _shapes_all(v, slot, min(spare, 2 * v - 2))
-
-
-@lru_cache(maxsize=None)
-def _pointed_shapes_all(d: int, ghost_path: bool,
-                        budget: int) -> tuple[tuple, ...]:
-    """Admissible pointed shapes of degree d with at most `budget` edges;
-    `ghost_path` says whether every ancestor of the shape's root is a ghost
-    (vacuously true at the branch root)."""
-    out = []
-    for root_deg in range(d, -1, -1):
-        ghosts = ghost_path and root_deg == 0
+        ghosts = point and root_deg == 0
         for parts in _partitions(d - root_deg):
             spare = budget - len(parts)
+            if spare < 0:
+                continue
             # point on this component (one special point), never on a ghost
             # reached from the branch root through ghosts only
-            if spare >= 0 and (root_deg > 0 or (parts and not ghost_path)):
-                for combo in _multisets(parts, _pool(spare)):
+            if point is not None and (root_deg > 0 or parts and not point):
+                for combo in _multisets(parts, _pool(spare, slot)):
                     out.append((root_deg, True, tuple(sorted(combo))))
-            # point in one child subtree
-            if spare < 0 or root_deg == 0 and len(parts) < 2:
+            if root_deg == 0 and len(parts) < 2:
                 continue
-            for _, child, others in _pointed_choices(
-                    parts, lambda v: _pointed_shapes_all(
-                        v, ghosts, min(spare, 2 * v - 1 - ghosts))):
-                for combo in _multisets(others, _pool(spare)):
-                    out.append((root_deg, False,
-                                tuple(sorted((child,) + combo))))
-    return tuple(sorted(out if budget >= 2 * d - 1 - ghost_path else
-                        [s for s in out if _shape_counts(s)[0] <= budget]))
+            # no point, or the point in one child subtree
+            picks = [((), parts)] if point is None else (
+                ((child,), others) for _, child, others in _pointed_choices(
+                    parts, lambda v: _shapes_all(
+                        v, slot, min(spare, 2 * v - 1 - ghosts), ghosts)))
+            for pick, rest in picks:
+                for combo in _multisets(rest, _pool(spare, slot)):
+                    out.append((root_deg, *slot, tuple(sorted(pick + combo))))
+    return tuple(sorted(s for s in out if _shape_counts(s)[0] <= budget))
+
+
+def _pool(spare: int, slot: tuple):
+    """v -> the unpointed shapes of degree v with at most `spare` edges."""
+    return lambda v: _shapes_all(v, slot, min(spare, 2 * v - 2))
 
 
 def _pointed_choices(parts, pool):
@@ -157,7 +147,7 @@ def branch_shapes(d: int, max_extra_nodes: int | None = 3,
     """
     most = 2 * d - 2
     budget = most if max_extra_nodes is None else min(max_extra_nodes, most)
-    return list(_pointed_shapes_all(d, True, budget) if pointed
+    return list(_shapes_all(d, (False,), budget, True) if pointed
                 else _shapes_all(d, (), budget))
 
 

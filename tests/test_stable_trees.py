@@ -17,10 +17,9 @@ from oracles import (
     stratum_tree,
     top_stratum_dimension,
 )
-from ruledstrata import stable_trees
+from ruledstrata import reports, stable_trees
 from ruledstrata.homology import TRIVIAL
 from ruledstrata.stable_trees import (
-    _pointed_shapes_all,
     _shapes_all,
     branch_shapes,
     enumerate_decompositions,
@@ -238,39 +237,51 @@ class TestEnumerateStrata:
 
     def test_each_degree_cached_once(self):
         # the top-level call and the recursion share one cache entry per
-        # degree: plain shapes of degrees 1..6, and pointed shapes of 1..6
+        # degree and kind: plain shapes of degrees 1..6; then unmarked
+        # subtrees of 1..5 inside pointed shapes, and pointed shapes of 1..6
         # at the branch root plus 1..5 below a nonconstant component; a
         # depth at or above the most edges a branch can have is unbounded
         for depth in (None, 12, 10**4000):
             _shapes_all.cache_clear()
-            _pointed_shapes_all.cache_clear()
             enumerate_strata(6, depth)
             assert _shapes_all.cache_info().currsize == 6
             enumerate_strata(6, depth, pointed=True)
-            assert _pointed_shapes_all.cache_info().currsize == 11
+            assert _shapes_all.cache_info().currsize == 6 + 5 + 11
 
     def test_no_list_for_a_negative_budget(self, monkeypatch):
         # a root with more children than its edge budget is skipped, so no
         # shape list, which could only be empty, is built or cached for a
         # budget below zero: 642 lists over this grid
         built = []
-        for name in ("_shapes_all", "_pointed_shapes_all"):
-            def record(*key, _build=getattr(stable_trees, name).__wrapped__):
-                built.append(key)
-                return _build(*key)
-            monkeypatch.setattr(stable_trees, name,
-                                functools.lru_cache(maxsize=None)(record))
+
+        def record(*key, _build=_shapes_all.__wrapped__):
+            built.append(key)
+            return _build(*key)
+        monkeypatch.setattr(stable_trees, "_shapes_all",
+                            functools.lru_cache(maxsize=None)(record))
         total = 0
         for n in range(1, 9):
             for depth in (0, 1, 3):
                 for pointed in (False, True):
                     stable_trees._shapes_all.cache_clear()
-                    stable_trees._pointed_shapes_all.cache_clear()
                     built.clear()
                     enumerate_strata(n, depth, pointed)
-                    assert built and min(key[-1] for key in built) >= 0
+                    # the key is (degree, slot, budget[, point])
+                    assert built and min(key[2] for key in built) >= 0
                     total += len(built)
         assert total <= 642
+
+    def test_rows_share_one_list_per_shape(self):
+        # the rows of one report share the list of each distinct shape, and
+        # no list outlives its report in the cache
+        rows = reports.decompositions_report(6, None, True)["rows"]
+        lists = {}
+        for row in rows:
+            for tree in row["shape"] + [row["pointed"]["tree"]]:
+                key = repr(tree)
+                assert lists.setdefault(key, tree) is tree
+        assert len(lists) < sum(len(row["shape"]) + 1 for row in rows)
+        assert reports._shape.cache_info().currsize == 0
 
     def test_json_schema(self):
         for desc in enumerate_strata(2):
