@@ -472,8 +472,10 @@ def _round_trip(rng, n):
 def _preimages(targets, expected):
     """A draw of |preimage count - expected| at `targets(rng, n)`; each
     caller's lambda looks its sampler up when it draws."""
-    return lambda rng, n: np.abs(
-        count_phi30_rows(targets(rng, n)) - expected).astype(float)
+    def draw(rng, n):
+        counts = count_phi30_rows(targets(rng, n))
+        return np.abs(counts - expected).astype(float)
+    return draw
 
 
 #: One entry per verify-maps row, in report order: (check, rule, threshold
