@@ -6,12 +6,13 @@ and the sha256 of its stdout and stderr must match the record.
 `decompositions` reaches `--n 8` at depths 0, 1 and 3, plain and pointed.
 Left out, as too slow for this suite: the 50,000-row `strata --json`
 tables of the exact_core workload, `decompositions --n 8 --depth -1
---json` and `--n 7 --depth -1 --pointed --json` of strata_enum, and `--n 8
---pointed --depth -1 --json`, the largest inside the limits (the file's
-`left_out` list records each argv with its exit code and hashes, and CI
-compares them through the console script), and every verify-maps argv
-that runs its checks, whose floating-point output depends on the installed
-numpy.
+--json` and `--n 7 --depth -1 --pointed --json` of strata_enum, `--n 8
+--pointed --depth -1 --json`, the largest inside the limits, and two large
+tables, `decompositions --n 7 --pointed --depth -1` and `strata --lambda
+99999` (the file's `left_out` list records each argv with its exit code
+and hashes, and CI compares them through the console script), and every
+verify-maps argv that runs its checks, whose floating-point output depends
+on the installed numpy.
 """
 
 import json
