@@ -25,14 +25,15 @@ import gc
 import math
 import os
 import sys
+import types
 
 from . import check_verify_maps_args
 
 #: The subcommands: each one's help line and options.  An option is (name,
 #: converter, default, help): a converter of None marks a flag, False until
 #: given, and a default of None an option that must be given.  Every
-#: subcommand also takes JSON_OPTION.  An option's value is stored on
-#: `Args` under its name without the dashes, or the name in DEST.
+#: subcommand also takes JSON_OPTION.  `parse_args` stores an option's value
+#: under its name without the dashes, or the name in DEST.
 COMMANDS = {
     "strata": ("admissible strata for a given form", (
         ("--lambda", str, None, "form parameter, a rational like 5/2"),
@@ -61,14 +62,11 @@ DESCRIPTION = ("stratification calculator for compatible almost complex "
                "structures on the rational ruled surfaces")
 
 
-class Args:
-    """The subcommand and option values read from one argv."""
-
-
-def parse_args(argv) -> Args:
-    """Read argv against COMMANDS.  A value follows its option or an "=" and
-    may start with "-"; a unique prefix names an option, the last of a
-    repeated option counts.  A usage error prints the usage and an error
+def parse_args(argv) -> types.SimpleNamespace:
+    """Read argv against COMMANDS into a namespace of the subcommand and
+    the option values.  A value follows its option or an "=" and may start
+    with "-"; a unique prefix names an option, the last of a repeated option
+    counts.  A usage error prints the usage and an error
     line to stderr and raises SystemExit(2); -h or --help prints the help
     and raises SystemExit(0)."""
     if not argv:
@@ -114,11 +112,9 @@ def parse_args(argv) -> Args:
     if missing:
         _usage_error(sub, "the following arguments are required: "
                           + ", ".join(missing))
-    args = Args()
-    args.subcommand = sub
-    for name, _, default, _ in options.values():
-        setattr(args, _dest(name), values.get(name, default))
-    return args
+    return types.SimpleNamespace(subcommand=sub, **{
+        _dest(name): values.get(name, default)
+        for name, _, default, _ in options.values()})
 
 
 def _options(sub: str) -> tuple:
@@ -268,26 +264,17 @@ def _quote(text: str) -> str:
 
 
 def render_table(report: dict) -> str:
-    """Fixed-width text rendering of a report's rows."""
+    """Fixed-width text rendering of a report's rows: one grid of cells,
+    the header row first, each column padded to its widest cell."""
     lines = [f"# {report['subcommand']}  {report['params']}"]
     rows = report.get("rows")
     if rows:
-        keys = []
-        for row in rows:
-            for key in row:
-                if key not in keys:
-                    keys.append(key)
-        widths = {}
-        rendered = []
-        for row in rows:
-            cells = {k: _cell(row.get(k, "")) for k in keys}
-            rendered.append(cells)
-            for k in keys:
-                widths[k] = max(widths.get(k, len(k)), len(cells[k]))
-        lines.append("  ".join(k.ljust(widths[k]) for k in keys))
-        lines.append("  ".join("-" * widths[k] for k in keys))
-        for cells in rendered:
-            lines.append("  ".join(cells[k].ljust(widths[k]) for k in keys))
+        keys = list(dict.fromkeys(key for row in rows for key in row))
+        grid = [keys, *([_cell(row.get(k, "")) for k in keys] for row in rows)]
+        widths = [max(map(len, column)) for column in zip(*grid)]
+        grid.insert(1, ["-" * width for width in widths])
+        lines += ["  ".join(cell.ljust(width) for cell, width in
+                            zip(cells, widths)) for cells in grid]
     for key in ("trace", "l_z", "result", "display", "sublink_display",
                 "diagnostic", "blow_down_trace", "blow_down_result"):
         if key in report:
@@ -297,11 +284,7 @@ def render_table(report: dict) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.3e}"
-    if isinstance(value, (dict, list)):
-        return repr(value)
-    return str(value)
+    return f"{value:.3e}" if isinstance(value, float) else str(value)
 
 
 def main(argv=None) -> int:
