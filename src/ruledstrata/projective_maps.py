@@ -224,17 +224,17 @@ def count_phi30_rows(targets) -> np.ndarray:
     """
     target = _unit_rows(targets)
     candidates = np.sqrt(target)[:, None, :] * _PHI30_SIGNS  # exact: signs
-    verified = residual_rows(  # each target row scaled, then repeated
-        lambda c, t: minors_rows(c, np.repeat(t, len(_PHI30_SIGNS), axis=0)),
-        eval_phi30_rows(candidates.reshape(-1, 3)), target,
+    verified = residual_rows(
+        minors_rows, eval_phi30_rows(candidates.reshape(-1, 3)),
+        np.repeat(target, len(_PHI30_SIGNS), axis=0),
     ).reshape(len(target), -1) < 1e3 * DEFAULT_TOL
-    unit = _unit_rows(candidates.reshape(-1, 3)).reshape(candidates.shape)
     reps = np.zeros_like(verified)
     for j in range(len(_PHI30_SIGNS)):
         new = verified[:, j]
         for k in range(j):
-            new = new & (~reps[:, k] | (_max_modulus(len(unit), minors_rows(
-                unit[:, j], unit[:, k])) >= CLUSTER_TOL))
+            apart = residual_rows(minors_rows, candidates[:, j],
+                                  candidates[:, k]) >= CLUSTER_TOL
+            new = new & (~reps[:, k] | apart)
         reps[:, j] = new
     return reps.sum(axis=1)
 
