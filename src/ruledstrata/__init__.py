@@ -13,7 +13,7 @@ import math
 
 __version__ = "0.1.0"
 
-#: The most samples verify-maps takes (10^6: 9.5-13 s and 30 MB, 2-vCPU VM).
+#: The most samples verify-maps takes (10^6: 7.3-8.7 s and 29 MB, 2-vCPU VM).
 MAX_SAMPLES = 10**6
 
 #: The most decimal digits of an integer the CLI reads: a chain entry and the

@@ -32,8 +32,9 @@ def _space(space) -> dict:
 # ---------------------------------------------------------------------------
 # strata
 
-#: The most rows `strata_report` builds (10^5 take 1.4-2.3 s and 134-232 MB,
-#: table or --json, either surface; 2-vCPU VM); a lambda giving more raises.
+#: The most rows `strata_report` builds; a lambda giving more raises (10^5
+#: rows, either surface, 2-vCPU VM: 1.0-1.1 s and 121-130 MB as a table,
+#: 1.1-1.5 s and 99-117 MB with --json).
 MAX_STRATA_ROWS = 10**5
 
 
