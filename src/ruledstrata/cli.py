@@ -66,9 +66,9 @@ def parse_args(argv) -> types.SimpleNamespace:
     """Read argv against COMMANDS into a namespace of the subcommand and
     the option values.  A value follows its option or an "=" and may start
     with "-"; a unique prefix names an option, the last of a repeated option
-    counts.  A usage error prints the usage and an error
-    line to stderr and raises SystemExit(2); -h or --help prints the help
-    and raises SystemExit(0)."""
+    counts.  A usage error prints the usage and an error line to stderr and
+    raises SystemExit(2); -h or --help prints the help and raises
+    SystemExit(0)."""
     if not argv:
         _usage_error(None, "the following arguments are required: subcommand")
     sub = argv[0]
