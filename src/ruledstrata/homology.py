@@ -17,7 +17,6 @@ an integer boundary, so no floating point is used.
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 
 class RuledSurface(namedtuple("RuledSurface", "name basis_names pairing "
@@ -111,6 +110,7 @@ class SymplecticForm(namedtuple("SymplecticForm", "surface lam")):
     __slots__ = ()
 
     def __new__(cls, surface: RuledSurface, lam):
+        from fractions import Fraction
         lam = Fraction(lam)
         if surface is TRIVIAL:
             if lam < 0:
@@ -120,7 +120,7 @@ class SymplecticForm(namedtuple("SymplecticForm", "surface lam")):
         return super().__new__(cls, surface, lam)
 
 
-def area(form: SymplecticForm, c: H2Class) -> Fraction:
+def area(form: SymplecticForm, c: H2Class) -> "Fraction":
     """Symplectic area of a class, exact in lambda.
 
     e1 has area 1 + lambda and the fiber area 1, which fixes e2; the area is
@@ -130,8 +130,9 @@ def area(form: SymplecticForm, c: H2Class) -> Fraction:
         raise ValueError("form and class live on different surfaces")
     (a, b), (f1, f2) = c.coeffs, c.surface.fiber
     n, d = form.lam.numerator, form.lam.denominator
-    # e2 = f2 * (fiber - f1 * e1), as f2 is +1 or -1; all over d
-    return Fraction(a * (n + d) + b * f2 * (d - f1 * (n + d)), d)
+    # e2 = f2 * (fiber - f1 * e1), as f2 is +1 or -1; all over d.  The
+    # type of lam is Fraction: importing it here would add about 1 us a call
+    return type(form.lam)(a * (n + d) + b * f2 * (d - f1 * (n + d)), d)
 
 
 def stratum_curve_class(surface: RuledSurface, k: int) -> H2Class:

@@ -17,6 +17,7 @@ without the suffix (`eval_h`, `proj_residual`, `critical_values`, ...),
 is the reference in the test suite's `tests/oracles.py`.
 """
 
+import itertools
 import math
 import random
 
@@ -54,7 +55,7 @@ def _max_modulus(n: int, columns) -> np.ndarray:
     arrive, NaN kept; n zeros for no column."""
     out = np.zeros(n)
     for col in columns:
-        out = np.maximum(out, _modulus(col))
+        np.maximum(out, _modulus(col), out=out)
     return out
 
 
@@ -87,7 +88,7 @@ def minors_rows(x, y):
     if x.shape != y.shape:
         raise ValueError("length mismatch")
     return (_mul(x[:, i], y[:, j]) - _mul(x[:, j], y[:, i])
-            for i, j in zip(*np.triu_indices(x.shape[1], 1)))
+            for i, j in itertools.combinations(range(x.shape[1]), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +192,7 @@ def unordered_pair_residual_rows(pairs_a: np.ndarray, pairs_b: np.ndarray
                                  ) -> np.ndarray:
     """`unordered_pair_residual` of each pair of rows of two (n, 2, k)
     arrays; a NaN residual is kept, not dropped."""
-    n, _, k = pairs_a.shape
-    a, b = (_unit_rows(p.reshape(-1, k)).reshape(n, 2, k)  # scaled once
-            for p in (pairs_a, pairs_b))
-    r = {(i, j): _max_modulus(n, minors_rows(a[:, i], b[:, j]))
+    r = {(i, j): residual_rows(minors_rows, pairs_a[:, i], pairs_b[:, j])
          for i in (0, 1) for j in (0, 1)}
     return np.minimum(np.maximum(r[0, 0], r[1, 1]),
                       np.maximum(r[0, 1], r[1, 0]))
@@ -368,12 +366,12 @@ def random_unit_sphere_rows(rng, n: int) -> np.ndarray:
     return v / np.sqrt(_norm_sq_rows(v))[:, None]
 
 
-def _draw_until(rng, n: int, draw, keep) -> np.ndarray:
-    """n rows of `draw(rng, m)` that pass `keep`, drawing the shortfall
-    again until none is left."""
+def _draw_until(n: int, draw, keep) -> np.ndarray:
+    """n rows of `draw(m)` that pass `keep`, drawing the shortfall again
+    until none is left."""
     parts = []
     while n:
-        rows = draw(rng, n)
+        rows = draw(n)
         rows = rows[keep(rows)]
         parts.append(rows)
         n -= len(rows)
@@ -382,23 +380,21 @@ def _draw_until(rng, n: int, draw, keep) -> np.ndarray:
 
 def random_generic_square_rows(rng, n: int) -> np.ndarray:
     """n squares-map targets with all coordinates away from zero."""
-    return _draw_until(rng, n, lambda rng, m: random_proj_rows(rng, m, 3),
-                       _generic_rows)
+    return _draw_until(n, lambda m: random_proj_rows(rng, m, 3), _generic_rows)
 
 
 def random_line_target_rows(rng, n: int, i: int) -> np.ndarray:
     """n generic points of the i-th coordinate line in the plane."""
-    pts = _draw_until(rng, n, lambda rng, m: random_proj_rows(rng, m, 2),
-                      _generic_rows)
+    pts = _draw_until(n, lambda m: random_proj_rows(rng, m, 2), _generic_rows)
     return np.insert(pts, i, 0, axis=1)
 
 
 def random_cover_line_rows(rng, n: int, s1: int, s2: int) -> np.ndarray:
     """n points of the line x + s1 y + s2 i z = 0 upstairs of the quadric."""
-    def draw(rng, m):
+    def draw(m):
         y, z = random_proj_rows(rng, m, 2).T
         return np.stack([-(s1 * y + s2 * 1j * z), y, z], axis=1)
-    return _draw_until(rng, n, draw,
+    return _draw_until(n, draw,
                        lambda rows: _max_modulus(len(rows), rows.T) > 0)
 
 
@@ -409,10 +405,10 @@ MIN_PAIR_GAP = 1e-3
 def random_separated_pair_rows(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n pairs of points of the sphere at least `MIN_PAIR_GAP` apart, as two
     (n, 2) arrays."""
-    def draw(rng, m):
+    def draw(m):
         return np.hstack([random_proj_rows(rng, m, 2),
                           random_proj_rows(rng, m, 2)])
-    pairs = _draw_until(rng, n, draw, lambda rows: residual_rows(
+    pairs = _draw_until(n, draw, lambda rows: residual_rows(
         minors_rows, rows[:, :2], rows[:, 2:]) >= MIN_PAIR_GAP)
     return pairs[:, :2], pairs[:, 2:]
 
