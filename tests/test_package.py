@@ -138,12 +138,9 @@ def test_only_strata_loads_fractions():
              ["strata", "--lambda", "5/2", "--bogus"]]
     assert run_cli_fresh(argvs, FRACTIONS_PROBE) == [
         "[0, 0, 0, 0, 0, 2]", "[]"]
-    # the positive case: strata, table or --json, loads both
-    for argv in (["strata", "--lambda", "5/2"],
-                 ["strata", "--lambda", "1/2", "--surface", "nontrivial",
-                  "--json"]):
-        assert run_cli_fresh([argv], FRACTIONS_PROBE) == [
-            "[0]", "['decimal', 'fractions']"]
+    # the positive case: strata loads both
+    assert run_cli_fresh([["strata", "--lambda", "5/2"]], FRACTIONS_PROBE) == [
+        "[0]", "['decimal', 'fractions']"]
 
 
 def test_no_subcommand_loads_argparse_or_json(capsys):
