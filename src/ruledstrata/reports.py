@@ -8,8 +8,6 @@ that produced them; exact rationals are fraction strings.  Each builder
 imports the layers it calls, so a process loads only those.
 """
 
-import functools
-
 from . import MAX_DIGITS
 
 
@@ -216,22 +214,21 @@ def plumb_report(chain: tuple[int, ...]) -> dict:
 # ---------------------------------------------------------------------------
 # decompositions
 
-
 #: The largest total fiber degree `decompositions_report` enumerates: at 8,
 #: `--pointed --depth -1 --json` takes 14 s and 1.4 GB (2-vCPU VM) and grows
 #: sixfold a degree; a bounded `--depth` costs about its row count.
 MAX_FIBER_DEGREE = 8
 
 
-@functools.lru_cache(maxsize=None)
-def _shape(shape) -> list:
+def _shape(shape, lists: dict) -> list:
     """A branch shape, nested tuples whose last entry holds the children,
-    as nested lists, one list per distinct shape until the cache is cleared."""
-    return [*shape[:-1], [_shape(c) for c in shape[-1]]]
+    as nested lists, one (never empty) list per distinct shape in `lists`."""
+    return lists.get(shape) or lists.setdefault(
+        shape, [*shape[:-1], [_shape(c, lists) for c in shape[-1]]])
 
 
-def _stratum_row(d) -> dict:
-    """A `stable_trees.StratumDescriptor` as a row with fields
+def decompositions_report(n: int, depth: int | None, pointed: bool) -> dict:
+    """A row per stratum descriptor of total fiber degree n, with fields
 
         parts     list of fiber degrees of the branches (a partition)
         shape     one entry per unpointed branch: nested [degree, [children...]]
@@ -240,28 +237,25 @@ def _stratum_row(d) -> dict:
 
     A pointed descriptor adds "pointed": {"part", "tree"}, the degree and
     shape of the branch with the marked point, whose nodes are [degree,
-    marked, [children...]], and "inferred": true.  Rows built before the
-    `_shape` cache is cleared share the list of each distinct shape.
+    marked, [children...]], and "inferred": true.  The rows share the list
+    of each distinct shape through `lists`, a memo made for this call.
     """
-    row = {"parts": list(d.parts), "shape": [_shape(s) for s in d.shapes],
-           "dim": d.dimension, "isotropy": d.isotropy}
-    if d.pointed_part is not None:
-        row["pointed"] = {"part": d.pointed_part,
-                          "tree": _shape(d.pointed_shape)}
-        row["inferred"] = True
-    return row
-
-
-def decompositions_report(n: int, depth: int | None, pointed: bool) -> dict:
     if n < 0:
         raise ValueError(f"total fiber degree must be >= 0, got {n}")
     if n > MAX_FIBER_DEGREE:
         raise ValueError(f"total fiber degree {n} is above the limit "
                          f"{MAX_FIBER_DEGREE}")
     from . import stable_trees
-    descriptors = stable_trees.enumerate_strata(n, depth, pointed=pointed)
-    rows = [_stratum_row(d) for d in descriptors]
-    _shape.cache_clear()
+    lists, rows = {}, []
+    for d in stable_trees.enumerate_strata(n, depth, pointed=pointed):
+        row = {"parts": list(d.parts),
+               "shape": [_shape(s, lists) for s in d.shapes],
+               "dim": d.dimension, "isotropy": d.isotropy}
+        if d.pointed_part is not None:
+            row["pointed"] = {"part": d.pointed_part,
+                              "tree": _shape(d.pointed_shape, lists)}
+            row["inferred"] = True
+        rows.append(row)
     return {
         "subcommand": "decompositions",
         "params": {"n": n, "depth": depth, "pointed": pointed},

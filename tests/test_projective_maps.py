@@ -911,9 +911,22 @@ def _tau_negating_x(pts):
     return out
 
 
+def _h_cross_term_stretched(p, q):
+    (x0y0, x0y1), (x1y0, x1y1) = projective_maps._mul(p.T[:, None], q.T[None])
+    return np.stack([x0y0, x1y1, x0y1 + x1y0 * (1 + 1e-6) - x0y0 - x1y1],
+                    axis=1)
+
+
+def _critical_values_stretched(num, den):
+    values, degenerate = critical_values_rows(num, den)
+    values[:, :, 0] *= 1 + 1e-6
+    return values, degenerate
+
+
 #: One plausible defect per verify-maps row: the row's check, the name in
 #: `projective_maps` the defect replaces, and its replacement.
 MUTANTS = {
+    "h-symmetry": ("eval_h_rows", _h_cross_term_stretched),
     "h-diagonal-on-quadric": ("eval_h_rows", lambda p, q: eval_h_rows(p, q)
                               * np.array([1, 1, 1 + 1e-6])),
     "phi32-tau-invariance": ("tau_rows", _tau_negating_x),
@@ -923,24 +936,30 @@ MUTANTS = {
     "s5-identification-norm": ("s5_identification_rows",
                                _s5_stretch_by_modulus),
     "orbit-map-invariance": ("weighted_circle_orbit_rows", _orbit_weights_one),
+    "critical-values-round-trip": ("critical_values_rows",
+                                   _critical_values_stretched),
     "phi30-generic-preimages": ("_PHI30_SIGNS",
                                 projective_maps._PHI30_SIGNS[:3]),
     "phi30-line-preimages": ("CLUSTER_TOL", 0),
 }
 
 
-@pytest.mark.parametrize("check", list(MUTANTS))
+@pytest.mark.parametrize("check", [entry[0] for entry in VERIFY_CHECKS])
 def test_verify_maps_row_catches_its_mutant(check, monkeypatch):
     """Each row passes on the code as it is and fails at 5,000 samples and
-    seed 42 once its defect is applied: the third coordinate of `eval_h`
-    times 1 + 1e-6, `tau` negating x instead of z, x*z for x*y in the cone
-    map, cover lines drawn without the factor i, the S^5 stretch
-    sqrt(1 + |z|) for sqrt(1 + |z|^2), circle weights (1, 1, 1), a dropped
-    sign pattern, and no preimage cluster merged.
+    seed 42 once its defect is applied: the cross term x1*y0 of `eval_h`
+    times 1 + 1e-6, the third coordinate of `eval_h` times 1 + 1e-6, `tau`
+    negating x instead of z, x*z for x*y in the cone map, cover lines drawn
+    without the factor i, the S^5 stretch sqrt(1 + |z|) for
+    sqrt(1 + |z|^2), circle weights (1, 1, 1), the numerator values of
+    `critical_values` times 1 + 1e-6, a dropped sign pattern, and no
+    preimage cluster merged.
 
-    Two rows are left out until they are repaired: `h-symmetry` reads 0.0
-    under the `eval_h` defect above, and `critical-values-round-trip`
-    passes when every root's first coordinate is multiplied by 1.5.
+    The third-coordinate defect is symmetric in the two factors, so
+    `h-symmetry` reads 0.0 under it; its own defect breaks the swap.  The
+    round-trip defect covers the values and their pairing, not the root
+    solver: the drawn maps have their critical points exactly at 0 and
+    infinity, so every root's first coordinate times 1.5 still passes.
     """
     row = next(entry for entry in VERIFY_CHECKS if entry[0] == check)
     monkeypatch.setattr(projective_maps, "VERIFY_CHECKS", (row,))

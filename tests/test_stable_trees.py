@@ -26,7 +26,7 @@ from ruledstrata.stable_trees import (
     enumerate_strata,
     shape_edges,
 )
-from ruledstrata.reports import _shape, _stratum_row
+from ruledstrata.reports import _shape, decompositions_report
 
 
 def ghost(marked=0):
@@ -273,19 +273,23 @@ class TestEnumerateStrata:
 
     def test_rows_share_one_list_per_shape(self):
         # the rows of one report share the list of each distinct shape, and
-        # no list outlives its report in the cache
-        rows = reports.decompositions_report(6, None, True)["rows"]
+        # no function in reports keeps a cache that outlives its report
+        rows = decompositions_report(6, None, True)["rows"]
         lists = {}
         for row in rows:
             for tree in row["shape"] + [row["pointed"]["tree"]]:
                 key = repr(tree)
                 assert lists.setdefault(key, tree) is tree
         assert len(lists) < sum(len(row["shape"]) + 1 for row in rows)
-        assert reports._shape.cache_info().currsize == 0
+        again = decompositions_report(6, None, True)["rows"]
+        assert again == rows
+        assert again[0]["pointed"]["tree"] is not rows[0]["pointed"]["tree"]
+        assert not [name for name, value in vars(reports).items()
+                    if hasattr(value, "cache_info")]
 
     def test_json_schema(self):
-        for desc in enumerate_strata(2):
-            blob = _stratum_row(desc)
+        rows = decompositions_report(2, 3, False)["rows"]
+        for desc, blob in zip(enumerate_strata(2), rows, strict=True):
             assert set(blob) == {"parts", "shape", "dim", "isotropy"}
             assert blob["dim"] == desc.dimension
 
@@ -294,8 +298,9 @@ class TestEnumerateStrata:
         assert all(d.pointed_part is not None for d in strata)
         dims = sorted(d.dimension for d in strata)
         assert dims == [0, 0, 2, 2, 2, 4]
-        for d in strata:
-            blob = _stratum_row(d)
+        rows = decompositions_report(2, 3, True)["rows"]
+        assert len(rows) == len(strata)
+        for blob in rows:
             assert blob["inferred"] is True
             assert "pointed" in blob
         for m in range(1, 5):
@@ -370,7 +375,7 @@ def test_pointed_branch_shape_catalogue():
         1, 5, 29, 167, 981, 5775]
     assert [len(branch_shapes(d, 3, pointed=True)) for d in range(1, 7)] == [
         1, 5, 24, 67, 146, 270]
-    assert _shape(shapes[2]) == [1, False, [[1, True, []]]]
-    assert _shape((1, ((1, ()),))) == [1, [[1, []]]]
+    assert _shape(shapes[2], {}) == [1, False, [[1, True, []]]]
+    assert _shape((1, ((1, ()),)), {}) == [1, [[1, []]]]
     assert shape_aut_order((0, False, ((1, False, ()), (1, False, ())))) == 2
     assert shape_aut_order((0, False, ((1, False, ()), (1, True, ())))) == 1
