@@ -305,11 +305,9 @@ class Sampler:
 
     The stream's key is 64 bits of stdlib `random` seeded with the string
     "seed/name", so each (seed, name) gives its own stream, whatever is drawn
-    from the others, and no numpy.random is loaded.  `uniform` and
-    `standard_normal` take the arguments of the numpy Generator methods of
-    those names, as the samplers below call them, so those take either.
-    `standard_normal` runs numpy's `log`, `cos` and `sin`, whose last bits
-    may differ between numpy builds and CPUs.
+    from the others, and no numpy.random is loaded.  `uniform` takes the
+    arguments of the numpy Generator method of that name, as the samplers
+    below call it, so those take either.
     """
 
     __slots__ = ("key", "count")
@@ -330,39 +328,17 @@ class Sampler:
         some ranges, though not for [0, 2 pi)."""
         return lo + (hi - lo) * ((self.words(n) >> np.uint64(11)) * 2.0**-53)
 
-    def standard_normal(self, shape: tuple) -> np.ndarray:
-        """Standard normals in the given shape, two from each word by the
-        Box-Muller transform of its 32-bit halves, the high half giving the
-        radius and the low half the angle.
-
-        The angle's cosine and sine are taken in single precision, where
-        numpy vectorizes them; in double precision they cost more than all
-        of numpy's own normals (10^5 verify-maps samples took 12% longer).
-        So a normal may be off its exact transform by up to 1e-6 times the
-        radius, which no check depends on: each computes in double precision
-        on the sample as drawn.
-        """
-        size = math.prod(shape)
-        w = self.words((size + 1) // 2)
-        radius = np.sqrt(-2.0 * np.log(((w >> np.uint64(32)) + 1) * 2.0**-32))
-        angle = ((w & np.uint64(0xFFFFFFFF)).astype(np.float32)
-                 * np.float32(2.0 * np.pi * 2.0**-32))
-        out = np.empty((len(w), 2))
-        out[:, 0] = radius * np.cos(angle)
-        out[:, 1] = radius * np.sin(angle)
-        return out.reshape(-1)[:size].reshape(shape)
-
 
 def random_proj_rows(rng, n: int, k: int) -> np.ndarray:
-    """n random points of projective (k-1)-space as (n, k) rows of
-    standard complex Gaussians: their directions are uniform on the unit
-    sphere, and every residual divides by the scale itself."""
-    return rng.standard_normal((n, 2 * k)).view(complex)
+    """n random points of projective (k-1)-space as (n, k) rows with real
+    and imaginary parts uniform in [-1, 1): every direction has a positive
+    density, and every residual divides by the scale itself."""
+    return rng.uniform(-1.0, 1.0, 2 * k * n).reshape(n, 2 * k).view(complex)
 
 
 def random_unit_sphere_rows(rng, n: int) -> np.ndarray:
     """n random points of the unit sphere in C^3 as (n, 3) rows."""
-    v = rng.standard_normal((n, 6)).view(complex)
+    v = random_proj_rows(rng, n, 3)
     return v / np.sqrt(_norm_sq_rows(v))[:, None]
 
 

@@ -20,8 +20,9 @@ test needs neither `perfbench` nor this script's choices.  Groups:
   table and with `--json`.
 - refusals: the exit-2 argvs of the CI loop.
 
-A verify-maps argv that runs its checks is left out everywhere: their
-floating-point output depends on the installed numpy, which is not pinned.
+A verify-maps argv that runs its checks is left out everywhere: its
+residuals take numpy's `hypot`, complex `exp` and complex `sqrt` from the
+platform's libm, which is not pinned (numpy's SIMD loops do not change them).
 Its refusals come before numpy loads and stay in.  The file depends on the
 code and these rules only: regenerating it on one tree gives the same file.
 """

@@ -11,8 +11,8 @@ tables of the exact_core workload, `decompositions --n 8 --depth -1
 tables, `decompositions --n 7 --pointed --depth -1` and `strata --lambda
 99999` (the file's `left_out` list records each argv with its exit code
 and hashes, and CI compares them through the console script), and every
-verify-maps argv that runs its checks, whose floating-point output depends
-on the installed numpy.
+verify-maps argv that runs its checks, whose residuals depend on the
+platform's libm, which is not pinned.
 """
 
 import json

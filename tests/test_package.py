@@ -241,6 +241,21 @@ def test_verify_maps_table_renders():
     assert len({len(line) for line in lines[1:-1]}) == 1
 
 
+def test_verify_maps_bytes_do_not_depend_on_simd_loops():
+    # the same report with numpy's dispatched SIMD loops on and off; on a
+    # CPU with no dispatched feature, both runs take the baseline loops
+    import numpy._core._multiarray_umath as umath
+
+    argv = [sys.executable, "-m", "ruledstrata.cli", "verify-maps",
+            "--samples", "1025", "--seed", "42", "--json"]
+    baseline = fresh_env()
+    baseline["NPY_DISABLE_CPU_FEATURES"] = " ".join(umath.__cpu_dispatch__)
+    runs = [subprocess.run(argv, env=env, capture_output=True, text=True)
+            for env in (fresh_env(), baseline)]
+    assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_in_process_main_does_not_freeze(capsys):
     before = gc.get_freeze_count()
     assert cli.main(["links", "--m", "2", "--k", "1"]) == 0

@@ -772,8 +772,7 @@ def test_splitmix64_known_answers():
 
 
 #: Draws from a `Sampler` named `rng`, of each kind, as an expression.
-STREAM_DRAWS = ("[rng.words(3).tolist(), rng.uniform(-1.0, 1.0, 3).tolist(), "
-                "rng.standard_normal((2, 3)).tolist()]")
+STREAM_DRAWS = "[rng.words(3).tolist(), rng.uniform(-1.0, 1.0, 3).tolist()]"
 
 
 def test_sampler_streams_repeat():
@@ -805,14 +804,14 @@ def test_sampler_uniform_in_range(lo, hi):
     assert low == lo and high < hi
 
 
-def test_sampler_normal_moments():
-    x = Sampler(0, "normal-moments").standard_normal((10**5,))
-    assert abs(x.mean()) < 0.01
-    assert abs(x.var() - 1) < 0.02
-    # the shape asked for, filled from the front when the count is odd
-    rng = Sampler(0, "normal-moments")
-    assert rng.standard_normal((3, 5)).shape == (3, 5)
-    assert rng.count == 8
+def test_random_proj_rows_draw_uniform_parts():
+    # one word for each real and each imaginary part, in [-1, 1)
+    rng = Sampler(0, "rows")
+    rows = random_proj_rows(rng, 5, 3)
+    assert rows.shape == (5, 3) and rows.dtype == complex
+    parts = rows.view(float)
+    assert np.all((-1.0 <= parts) & (parts < 1.0))
+    assert rng.count == 30
 
 
 @pytest.mark.parametrize("check, draws", [(c[0], c[-1]) for c in VERIFY_CHECKS])
